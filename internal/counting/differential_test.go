@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/database"
+	"repro/internal/delay"
 	"repro/internal/oracle"
 	"repro/internal/qgen"
 )
@@ -55,6 +56,48 @@ func TestDifferentialCount(t *testing.T) {
 		if got != strconv.Itoa(want) {
 			failInstance(t, seed, q, db, "CountInt %s != oracle %d", got, want)
 		}
+	}
+}
+
+// TestDifferentialCountBoundTwice counts each instance twice over one
+// unmutated database: the first pass builds and caches the base
+// relations' atom projections, the second is served from the cache. Both
+// counts must match the oracle with bit-identical counted steps, and the
+// second pass must build no projection.
+func TestDifferentialCountBoundTwice(t *testing.T) {
+	var hits uint64
+	for _, seed := range diffSeeds() {
+		q, db := qgen.Instance(seed)
+		want, err := oracle.Count(db, q)
+		if err != nil {
+			failInstance(t, seed, q, db, "oracle: %v", err)
+		}
+		s := BigInt{}
+		var steps [2]int64
+		stats := []database.ProjectionStats{db.ProjectionStats()}
+		for pass := range steps {
+			c := &delay.Counter{}
+			v, err := CountCounted(db, q, UnitWeight(s), s, c)
+			if err != nil {
+				failInstance(t, seed, q, db, "pass %d CountCounted: %v", pass, err)
+			}
+			if s.String(v) != strconv.Itoa(want) {
+				failInstance(t, seed, q, db, "pass %d CountCounted %s != oracle %d", pass, s.String(v), want)
+			}
+			steps[pass] = c.Steps()
+			stats = append(stats, db.ProjectionStats())
+		}
+		if steps[0] != steps[1] {
+			failInstance(t, seed, q, db, "counted steps %d on cold projections, %d on cached ones", steps[0], steps[1])
+		}
+		first, second := stats[1], stats[2]
+		if second.Misses != first.Misses || second.Hits-first.Hits != first.Hits-stats[0].Hits+first.Misses-stats[0].Misses {
+			failInstance(t, seed, q, db, "second pass built projections: before %+v, after pass 1 %+v, after pass 2 %+v", stats[0], first, second)
+		}
+		hits += second.Hits - first.Hits
+	}
+	if hits == 0 {
+		t.Fatalf("no second pass hit the projection cache")
 	}
 }
 

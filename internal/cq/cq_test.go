@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/database"
@@ -112,6 +113,73 @@ func TestAtomRelationConstantsAndSelfEquality(t *testing.T) {
 	}
 	if rel.R.Len() != 1 || rel.R.Tuples[0][0] != 1 {
 		t.Fatalf("tuples: %v", rel.R.Tuples)
+	}
+}
+
+// TestAtomRelationShared: constant-free atoms resolve to their base
+// relation's cached projection — the same object across binds and across
+// the occurrences of a self-join — while a different pattern of repeated
+// variables, or a constant, gets a relation of its own.
+func TestAtomRelationShared(t *testing.T) {
+	db := database.NewDatabase()
+	e := database.NewRelation("E", 2)
+	for _, p := range [][2]database.Value{{1, 2}, {2, 3}, {3, 3}} {
+		e.InsertValues(p[0], p[1])
+	}
+	db.AddRelation(e)
+	q := logictest.MustParseCQ("Q(x,z) :- E(x,y), E(y,z).")
+	t1, err := BuildTree(db, q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := BuildTree(db, q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := t1.Rels[0].R
+	if !shared.Frozen() || t1.Rels[1].R != shared || t2.Rels[0].R != shared {
+		t.Fatal("self-join occurrences and repeated binds do not share one projection")
+	}
+	loop, err := AtomRelation(db, logic.NewAtom("E", "x", "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loop.R == shared || loop.R.Len() != 1 || loop.R.Tuples[0][0] != 3 {
+		t.Fatalf("E(x,x): %v (shared %v)", loop.R.Tuples, loop.R == shared)
+	}
+	c, err := AtomRelation(db, logic.Atom{Pred: "E", Args: []logic.Term{logic.V("x"), logic.C(3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.R.Frozen() || c.R.Len() != 2 {
+		t.Fatalf("E(x,3): %v frozen=%v", c.R.Tuples, c.R.Frozen())
+	}
+	// Concurrent binds of a self-join over one relation, each fanning its
+	// atoms out over workers: run under -race this checks the cache's
+	// double-checked install, and every bind must see the same answers.
+	want, err := Eval(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := ParEval(db, q, 2, nil)
+			if err == nil && !sameAnswers(got, want) {
+				err = fmt.Errorf("ParEval %v != Eval %v", got, want)
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

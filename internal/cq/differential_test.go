@@ -236,6 +236,78 @@ func TestDifferentialStepCounts(t *testing.T) {
 	}
 }
 
+// TestDifferentialBoundTwice runs every engine twice over one unmutated
+// database. The first pass builds and caches the base relations' atom
+// projections; the second is served entirely from the cache. Both passes
+// must agree with the oracle and record bit-identical counted steps, and
+// the second pass must build no projection at all.
+func TestDifferentialBoundTwice(t *testing.T) {
+	var hits uint64
+	for _, seed := range diffSeeds() {
+		q, db := qgen.Instance(seed)
+		want, err := oracle.Eval(db, q)
+		if err != nil {
+			failInstance(t, seed, q, db, "oracle: %v", err)
+		}
+		var steps [2][]int64
+		stats := []database.ProjectionStats{db.ProjectionStats()}
+		for pass := 0; pass < 2; pass++ {
+			check := func(engine string, got []database.Tuple, err error, c *delay.Counter) {
+				if err != nil {
+					failInstance(t, seed, q, db, "pass %d %s: %v", pass, engine, err)
+				}
+				if !sameAnswers(got, want) {
+					failInstance(t, seed, q, db, "pass %d %s %v != oracle %v", pass, engine, got, want)
+				}
+				steps[pass] = append(steps[pass], c.Steps())
+			}
+			c := &delay.Counter{}
+			got, err := EvalCounted(db, q, c)
+			check("Eval", got, err, c)
+			c = &delay.Counter{}
+			got, err = ParEval(db, q, 4, c)
+			if len(want) == 0 {
+				// The parallel reducer's early exit on an empty relation
+				// makes its step count scheduling-dependent.
+				c = &delay.Counter{}
+			}
+			check("ParEval", got, err, c)
+			c = &delay.Counter{}
+			e, err := EnumerateConstantDelay(db, q, c)
+			if err == nil {
+				got = delay.Collect(e)
+			}
+			check("EnumerateConstantDelay", got, err, c)
+			c = &delay.Counter{}
+			e, err = EnumerateLinearDelay(db, q, c)
+			if err == nil {
+				got = delay.Collect(e)
+			}
+			check("EnumerateLinearDelay", got, err, c)
+			c = &delay.Counter{}
+			ok, err := DecideCounted(db, q, c)
+			if err != nil || ok != (len(want) > 0) {
+				failInstance(t, seed, q, db, "pass %d Decide %v (%v), oracle nonempty %v", pass, ok, err, len(want) > 0)
+			}
+			steps[pass] = append(steps[pass], c.Steps())
+			stats = append(stats, db.ProjectionStats())
+		}
+		for i := range steps[0] {
+			if steps[0][i] != steps[1][i] {
+				failInstance(t, seed, q, db, "engine %d: counted steps %d on cold projections, %d on cached ones", i, steps[0][i], steps[1][i])
+			}
+		}
+		first, second := stats[1], stats[2]
+		if second.Misses != first.Misses || second.Hits-first.Hits != first.Hits-stats[0].Hits+first.Misses-stats[0].Misses {
+			failInstance(t, seed, q, db, "second pass built projections: before %+v, after pass 1 %+v, after pass 2 %+v", stats[0], first, second)
+		}
+		hits += second.Hits - first.Hits
+	}
+	if hits == 0 {
+		t.Fatalf("no second pass hit the projection cache")
+	}
+}
+
 // evalWithSemijoin is a scratch copy of the Eval pipeline (full reduction +
 // bottom-up join pass) with a swappable semijoin operator, used to verify
 // that the differential suite has the sensitivity to catch a subtly broken

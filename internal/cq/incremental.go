@@ -275,39 +275,21 @@ func (nd *incNode) finish() (setDelta, bool) {
 // occurrence through it yields the atom's relation as a multiset, which
 // is what survives duplicate inserts and occurrence-level deletes.
 type atomFilter struct {
-	atom  logic.Atom
-	first map[string]int
-	cols  []int
+	pred   string
+	eq     []int
+	consts []database.Value
+	cols   []int
 }
 
 func newAtomFilter(a logic.Atom) atomFilter {
-	first := make(map[string]int)
-	for i, arg := range a.Args {
-		if !arg.IsConst {
-			if _, ok := first[arg.Var]; !ok {
-				first[arg.Var] = i
-			}
+	f := atomFilter{pred: a.Pred}
+	f.eq, f.consts = atomShape(a)
+	for i, p := range f.eq {
+		if p == i {
+			f.cols = append(f.cols, i)
 		}
 	}
-	vars := a.Vars()
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		cols[i] = first[v]
-	}
-	return atomFilter{atom: a, first: first, cols: cols}
-}
-
-func (f *atomFilter) match(t database.Tuple) bool {
-	for i, arg := range f.atom.Args {
-		if arg.IsConst {
-			if t[i] != arg.Const {
-				return false
-			}
-		} else if t[i] != t[f.first[arg.Var]] {
-			return false
-		}
-	}
-	return true
+	return f
 }
 
 func (f *atomFilter) proj(t database.Tuple) database.Tuple {
@@ -323,12 +305,12 @@ func (f *atomFilter) proj(t database.Tuple) database.Tuple {
 // net-zero churn inside one window cannot underflow the counters.
 func (f *atomFilter) feed(nd *incNode, d database.Delta) bool {
 	for _, t := range d.Ins {
-		if f.match(t) {
+		if database.AtomMatches(t, f.eq, f.consts) {
 			nd.srcAdd(f.proj(t), 1)
 		}
 	}
 	for _, t := range d.Del {
-		if f.match(t) {
+		if database.AtomMatches(t, f.eq, f.consts) {
 			if !nd.srcDel(f.proj(t), 1) {
 				return false
 			}
@@ -538,7 +520,7 @@ func (cr *ConstRefresher) runPipeline(deltas map[string]database.Delta) ([]setDe
 			continue
 		}
 		nd := cr.atomNodes[i]
-		if !cr.filters[i].feed(nd, deltas[cr.filters[i].atom.Pred]) {
+		if !cr.filters[i].feed(nd, deltas[cr.filters[i].pred]) {
 			return nil, false
 		}
 		for ei, ch := range cr.atomChildren[i] {
@@ -875,7 +857,7 @@ func (lr *LinearRefresher) runPipeline(deltas map[string]database.Delta) ([]setD
 	atomOut := make([]setDelta, len(t.Rels))
 	for i := range t.Rels {
 		nd := lr.atomNodes[i]
-		if !lr.filters[i].feed(nd, deltas[lr.filters[i].atom.Pred]) {
+		if !lr.filters[i].feed(nd, deltas[lr.filters[i].pred]) {
 			return nil, false
 		}
 		var ok bool

@@ -103,11 +103,15 @@ func join(name string, a, b Rel) Rel {
 	return out
 }
 
-// AtomRelation builds the relation of a single atom: tuples of the base
-// relation satisfying the atom's constants and repeated variables, projected
-// onto the distinct variables (first occurrence order). This uniformly
-// handles self-joins — each atom occurrence gets its own relation — and
-// constants in atoms.
+// AtomRelation returns the relation of a single atom: tuples of the base
+// relation satisfying the atom's constants and repeated variables,
+// projected onto the distinct variables (first occurrence order), sorted
+// and deduplicated. It validates the atom and resolves it to its base
+// relation's atom projection (database.Relation.AtomProjection). A
+// constant-free atom gets the base relation's cached, frozen projection
+// for its pattern of repeated variables, so repeated binds and self-join
+// occurrences of the same shape share one relation object until the base
+// mutates; an atom with constants gets a fresh relation of its own.
 func AtomRelation(db *database.Database, a logic.Atom) (Rel, error) {
 	base := db.Relation(a.Pred)
 	if base == nil {
@@ -116,34 +120,33 @@ func AtomRelation(db *database.Database, a logic.Atom) (Rel, error) {
 	if base.Arity != len(a.Args) {
 		return Rel{}, fmt.Errorf("cq: relation %q has arity %d, atom has %d arguments", a.Pred, base.Arity, len(a.Args))
 	}
-	vars := a.Vars()
-	firstCol := make(map[string]int)
+	eq, consts := atomShape(a)
+	return Rel{Schema: a.Vars(), R: base.AtomProjection(eq, consts)}, nil
+}
+
+// atomShape describes a column by column in the form
+// database.Relation.AtomProjection takes: eq[i] is the first column
+// holding the same variable as column i, or -1 when column i holds the
+// constant consts[i]. consts is nil for a constant-free atom.
+func atomShape(a logic.Atom) (eq []int, consts []database.Value) {
+	eq = make([]int, len(a.Args))
 	for i, t := range a.Args {
-		if !t.IsConst {
-			if _, ok := firstCol[t.Var]; !ok {
-				firstCol[t.Var] = i
+		if t.IsConst {
+			if consts == nil {
+				consts = make([]database.Value, len(a.Args))
+			}
+			eq[i], consts[i] = -1, t.Const
+			continue
+		}
+		eq[i] = i
+		for j := 0; j < i; j++ {
+			if !a.Args[j].IsConst && a.Args[j].Var == t.Var {
+				eq[i] = j
+				break
 			}
 		}
 	}
-	sel := base.Select(a.Pred, func(t database.Tuple) bool {
-		for i, arg := range a.Args {
-			if arg.IsConst {
-				if t[i] != arg.Const {
-					return false
-				}
-			} else if t[i] != t[firstCol[arg.Var]] {
-				return false
-			}
-		}
-		return true
-	})
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		cols[i] = firstCol[v]
-	}
-	out := sel.Project(a.Pred, cols)
-	out.Dedup()
-	return Rel{Schema: vars, R: out}, nil
+	return eq, consts
 }
 
 // checkPlainACQ verifies that q is a plain conjunctive query this package
@@ -185,4 +188,3 @@ func sortedVars(vs map[string]bool) []string {
 	sort.Strings(out)
 	return out
 }
-

@@ -30,10 +30,10 @@ func BuildTree(db *database.Database, q *logic.CQ, withHead bool) (*Tree, error)
 	return buildTree(db, q, withHead, 1)
 }
 
-// buildTree is BuildTree with the per-atom relation construction (select,
-// project, dedup — the linear preprocessing scan over each base relation)
-// fanned out over par workers. The atoms are independent of one another, so
-// the resulting tree is identical for every par.
+// buildTree is BuildTree with the per-atom relation construction (a cached
+// atom projection, or on a miss the select/project/dedup scan over the
+// base relation) fanned out over par workers. The atoms are independent of
+// one another, so the resulting tree is identical for every par.
 func buildTree(db *database.Database, q *logic.CQ, withHead bool, par int) (*Tree, error) {
 	if err := checkPlainACQ(q); err != nil {
 		return nil, err

@@ -115,20 +115,30 @@ func (t Tuple) FullKey() string {
 }
 
 // Relation is a named finite relation: a set of tuples of fixed arity.
-// Reads (lookups, iteration, index builds) are safe from multiple
-// goroutines; mutations (Insert, Dedup, Sort) are not and must be
+// Reads (lookups, iteration, index builds, atom projections) are safe from
+// multiple goroutines; mutations (Insert, Dedup, Sort) are not and must be
 // serialized by the caller.
+//
+// A relation carries derived state built lazily from its tuples: the
+// columnar slab, hash indexes keyed by column list, and atom projections
+// keyed by equality pattern (see AtomProjection). All of it is guarded by
+// mu and dropped together by every mutation.
 type Relation struct {
 	Name   string
 	Arity  int
 	Tuples []Tuple
 
-	mu         sync.Mutex // guards index/slab construction
+	mu         sync.Mutex // guards index/slab/projection construction
 	indexes    map[uint64]*Index
 	indexesBig map[string]*Index // column lists too wide for a packed signature
+	projs      map[uint64]*Relation
+	projsBig   map[string]*Relation // patterns too wide for a packed signature
 	slabPtr    atomic.Pointer[Slab]
 	sorted     bool // set by Sort/Dedup, cleared by inserts; enables binary-search Contains
 	mapped     bool // storage aliases read-only snapshot pages; promoted to heap on first mutation
+	frozen     bool // a cached atom projection: set before publication, mutations panic
+
+	projHits, projMisses, projBypass atomic.Uint64 // AtomProjection outcomes
 
 	// gen counts mutations (inserts, deletes, reorders — anything that
 	// invalidates indexes and may dangle row ids). Prepared query plans
@@ -176,6 +186,7 @@ func FromTuples(name string, arity int, rows []Tuple) *Relation {
 // paths handling external (possibly malformed) input should use TryInsert
 // so they can attach file/line context instead of crashing the process.
 func (r *Relation) TryInsert(t Tuple) error {
+	r.checkMutable("insert")
 	if len(t) != r.Arity {
 		return fmt.Errorf("database: relation %s has arity %d, got tuple of length %d", r.Name, r.Arity, len(t))
 	}
@@ -217,11 +228,10 @@ func (r *Relation) Sort() {
 	if sort.SliceIsSorted(r.Tuples, func(i, j int) bool {
 		return r.Tuples[i].Compare(r.Tuples[j]) < 0
 	}) {
-		r.mu.Lock()
-		r.sorted = true
-		r.mu.Unlock()
+		r.markSorted()
 		return
 	}
+	r.checkMutable("Sort")
 	sort.Slice(r.Tuples, func(i, j int) bool {
 		return r.Tuples[i].Compare(r.Tuples[j]) < 0
 	})
@@ -234,9 +244,7 @@ func (r *Relation) Sort() {
 // defensive Dedup that changed nothing.
 func (r *Relation) Dedup() {
 	if len(r.Tuples) == 0 {
-		r.mu.Lock()
-		r.sorted = true
-		r.mu.Unlock()
+		r.markSorted()
 		return
 	}
 	less := func(i, j int) bool {
@@ -244,9 +252,21 @@ func (r *Relation) Dedup() {
 	}
 	reordered := false
 	if !r.sorted && !sort.SliceIsSorted(r.Tuples, less) {
+		r.checkMutable("Dedup")
 		sort.Slice(r.Tuples, less)
 		reordered = true
 	}
+	dup := false
+	for i := 1; i < len(r.Tuples) && !dup; i++ {
+		dup = r.Tuples[i].Equal(r.Tuples[i-1])
+	}
+	if !reordered && !dup {
+		// Nothing to write: a no-op Dedup on a shared relation (a frozen
+		// atom projection) stays a pure read.
+		r.markSorted()
+		return
+	}
+	r.checkMutable("Dedup")
 	out := r.Tuples[:1]
 	var removed []Tuple
 	for _, t := range r.Tuples[1:] {
@@ -256,17 +276,23 @@ func (r *Relation) Dedup() {
 			out = append(out, t)
 		}
 	}
-	if !reordered && len(removed) == 0 {
-		r.mu.Lock()
-		r.sorted = true
-		r.mu.Unlock()
-		return
-	}
 	for i := len(out); i < len(r.Tuples); i++ {
 		r.Tuples[i] = nil // release duplicates held by the backing array
 	}
 	r.Tuples = out
 	r.mutate(nil, removed, true)
+}
+
+// markSorted records that the tuples are sorted. A relation already
+// known sorted is not written, so no-op Sort and Dedup calls on a shared,
+// frozen atom projection do not race with its concurrent readers.
+func (r *Relation) markSorted() {
+	if r.sorted {
+		return
+	}
+	r.mu.Lock()
+	r.sorted = true
+	r.mu.Unlock()
 }
 
 // Contains reports whether the relation holds the given tuple. On a

@@ -125,6 +125,7 @@ func (r *Relation) Row(i int) Tuple { return r.Slab().Row(int32(i)) }
 // the caller must itself rebase every holder of old row ids (indexes,
 // position maps) before publishing the new slab.
 func (r *Relation) CompactSlab(sl Slab, live []int32) (Slab, []int32) {
+	r.checkMutable("CompactSlab")
 	if sl.arity == 0 {
 		panic("database: CompactSlab on arity-0 slab")
 	}
@@ -141,8 +142,7 @@ func (r *Relation) CompactSlab(sl Slab, live []int32) (Slab, []int32) {
 	}
 	r.mu.Lock()
 	r.Tuples = tuples
-	r.indexes = nil
-	r.indexesBig = nil
+	r.dropDerivedLocked()
 	r.sorted = false
 	r.mapped = false // the compacted slab is a heap copy
 	r.slabPtr.Store(&ns)

@@ -4,13 +4,13 @@ package database
 // delta log that delta-binding (plan.Prepared.Refresh) consumes.
 //
 // Every mutation funnels through mutate, which drops derived state
-// (indexes, slab), advances the generation exactly once per call — an
-// N-tuple batch is one generation step, not N — and, when delta logging
-// is enabled, appends the mutation's multiset difference to a bounded
-// log. The log records occurrence-level changes: inserting a duplicate
-// logs one more insert of the same tuple, Delete logs one delete per
-// removed occurrence, and a reorder-only mutation (Sort) logs an empty
-// record — row-id holders must still rebind, but set-level consumers see
+// (indexes, atom projections, slab), advances the generation exactly once
+// per call — an N-tuple batch is one generation step, not N — and, when
+// delta logging is enabled, appends the mutation's multiset difference to
+// a bounded log. The log records occurrence-level changes: inserting a
+// duplicate logs one more insert of the same tuple, Delete logs one
+// delete per removed occurrence, and a reorder-only mutation (Sort) logs
+// an empty record — row-id holders must still rebind, but set-level consumers see
 // that nothing changed. Logging is off by default so workloads that
 // never refresh a plan pay nothing; plan binding switches it on for the
 // relations a refreshable statement reads.
@@ -74,8 +74,7 @@ func (r *Relation) mutateOne(t Tuple) {
 }
 
 func (r *Relation) mutateLocked(ins, del []Tuple, sorted bool) {
-	r.indexes = nil
-	r.indexesBig = nil
+	r.dropDerivedLocked()
 	if r.mapped {
 		r.promoteLocked()
 	} else {
@@ -86,6 +85,16 @@ func (r *Relation) mutateLocked(ins, del []Tuple, sorted bool) {
 	if r.logDeltas {
 		r.logDelta(ins, del)
 	}
+}
+
+// dropDerivedLocked forgets the indexes and atom projections built from
+// the relation's current tuples (r.mu held). Holders of the old objects
+// keep them intact; they are simply no longer handed out.
+func (r *Relation) dropDerivedLocked() {
+	r.indexes = nil
+	r.indexesBig = nil
+	r.projs = nil
+	r.projsBig = nil
 }
 
 // promoteLocked is the copy-on-write step for relations restored over
@@ -191,6 +200,7 @@ func (r *Relation) DeltaSince(gen uint64) (Delta, bool) {
 // holds one record instead of N. Tuples are appended in order;
 // duplicates are permitted, as with Insert. An empty batch is a no-op.
 func (r *Relation) InsertBatch(ts []Tuple) error {
+	r.checkMutable("insert")
 	if len(ts) == 0 {
 		return nil
 	}
@@ -220,6 +230,7 @@ func (r *Relation) Delete(t Tuple) bool {
 // ignored. The surviving tuples keep their relative order, so a sorted
 // relation stays sorted.
 func (r *Relation) DeleteBatch(ts []Tuple) int {
+	r.checkMutable("delete")
 	if len(ts) == 0 || len(r.Tuples) == 0 {
 		return 0
 	}

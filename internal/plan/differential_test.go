@@ -184,6 +184,73 @@ func TestDifferentialPipeline(t *testing.T) {
 	}
 }
 
+// TestDifferentialBindTwice binds every instance twice over one unmutated
+// database, compiling afresh each time so no plan cache is involved. The
+// first bind builds and caches the base relations' atom projections, the
+// second is served from the cache. Both must decide, count and enumerate
+// the oracle's answers with bit-identical counted steps, and the second
+// bind must build no projection.
+func TestDifferentialBindTwice(t *testing.T) {
+	var hits uint64
+	for _, seed := range diffSeeds() {
+		q, db := qgen.Instance(seed)
+		want, err := oracle.Eval(db, q)
+		if err != nil {
+			failInstance(t, seed, q, db, "oracle: %v", err)
+		}
+		var steps [2][3]int64
+		var seqs [2][]database.Tuple
+		stats := []database.ProjectionStats{db.ProjectionStats()}
+		for pass := range steps {
+			p, err := plan.Compile(q)
+			if err != nil {
+				failInstance(t, seed, q, db, "Compile: %v", err)
+			}
+			c := &delay.Counter{}
+			pr, err := p.BindCounted(db, c)
+			if err != nil {
+				failInstance(t, seed, q, db, "pass %d Bind: %v", pass, err)
+			}
+			e, err := pr.Enumerate(c)
+			if err != nil {
+				failInstance(t, seed, q, db, "pass %d Enumerate: %v", pass, err)
+			}
+			seqs[pass] = delay.Collect(e)
+			if !sameAnswers(seqs[pass], want) {
+				failInstance(t, seed, q, db, "pass %d enumerate %v != oracle %v", pass, seqs[pass], want)
+			}
+			steps[pass][0] = c.Steps()
+			c = &delay.Counter{}
+			n, err := pr.Count(c)
+			if err != nil || !n.IsInt64() || n.Int64() != int64(len(want)) {
+				failInstance(t, seed, q, db, "pass %d Count %v (%v) != oracle %d", pass, n, err, len(want))
+			}
+			steps[pass][1] = c.Steps()
+			c = &delay.Counter{}
+			ok, err := pr.Decide(c)
+			if err != nil || ok != (len(want) > 0) {
+				failInstance(t, seed, q, db, "pass %d Decide %v (%v), oracle nonempty %v", pass, ok, err, len(want) > 0)
+			}
+			steps[pass][2] = c.Steps()
+			stats = append(stats, db.ProjectionStats())
+		}
+		if steps[0] != steps[1] {
+			failInstance(t, seed, q, db, "counted steps (enumerate, count, decide) %v on cold projections, %v on cached ones", steps[0], steps[1])
+		}
+		if !sameSequence(seqs[0], seqs[1]) {
+			failInstance(t, seed, q, db, "answer order %v on cold projections, %v on cached ones", seqs[0], seqs[1])
+		}
+		first, second := stats[1], stats[2]
+		if second.Misses != first.Misses || second.Hits-first.Hits != first.Hits-stats[0].Hits+first.Misses-stats[0].Misses {
+			failInstance(t, seed, q, db, "second bind built projections: before %+v, after pass 1 %+v, after pass 2 %+v", stats[0], first, second)
+		}
+		hits += second.Hits - first.Hits
+	}
+	if hits == 0 {
+		t.Fatalf("no second bind hit the projection cache")
+	}
+}
+
 // TestDifferentialUCQ: unions through the pipeline — DecideUCQ (the
 // satellite bugfix), inclusion–exclusion counting, and union enumeration
 // all agree with the brute-force UCQ oracle.

@@ -153,6 +153,68 @@ func TestBindShedHTTP503(t *testing.T) {
 	}
 }
 
+// TestStalePlanExhaustion503: a statement that is still stale after every
+// withStatement attempt — mutations kept outrunning its binds — is a
+// transient refusal of a valid request, so it must answer 503 with a
+// Retry-After hint, never 400 unsupported_query.
+func TestStalePlanExhaustion503(t *testing.T) {
+	s := New(tinyDB(), nil, Config{InlineBind: true})
+	p := compileOn(t, s, "Q(x) :- A(x).")
+	calls := 0
+	err := s.withStatement(context.Background(), p, func(*plan.Prepared) error {
+		calls++
+		return plan.ErrStalePlan
+	})
+	if !errors.Is(err, plan.ErrStalePlan) || calls != 4 {
+		t.Fatalf("withStatement after %d attempts: %v, want ErrStalePlan after 4", calls, err)
+	}
+	for _, e := range []error{err, fmt.Errorf("execute: %w", err)} {
+		rec := httptest.NewRecorder()
+		s.writeQueryError(rec, e)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%v answered %d, want 503", e, rec.Code)
+		}
+		var body errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error != "stale_plan" {
+			t.Fatalf("503 body %q (%v)", rec.Body.String(), err)
+		}
+		if ra := rec.Header().Get("Retry-After"); ra != "1" {
+			t.Fatalf("Retry-After %q, want 1", ra)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.writeQueryError(rec, errors.New("cq: query Q is not acyclic"))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("unsupported query answered %d, want 400", rec.Code)
+	}
+}
+
+// TestStatsProjectionCounters: a second statement over the same unmutated
+// relation binds from its cached atom projection, and /v1/stats reports
+// the hit next to the first statement's miss.
+func TestStatsProjectionCounters(t *testing.T) {
+	s := New(tinyDB(), nil, Config{})
+	h := s.Handler()
+	for _, q := range []string{"Q(x) :- A(x).", "P(y) :- A(y)."} {
+		buf, _ := json.Marshal(map[string]interface{}{"query": q})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/decide", bytes.NewReader(buf)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", q, rec.Code, rec.Body.String())
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+	var st map[string]interface{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st["projection_misses"] != 1.0 || st["projection_hits"] == 0.0 || st["projection_bypass"] != 0.0 {
+		t.Fatalf("projection counters: hits %v misses %v bypass %v; want a miss then hits",
+			st["projection_hits"], st["projection_misses"], st["projection_bypass"])
+	}
+}
+
 // TestBindCoalescing: N concurrent cold requests for the same query must
 // cost exactly one bind — one flight holder, everyone else either joins
 // the in-flight bind or probes warm after it lands. The plan cache's miss

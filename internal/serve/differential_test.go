@@ -242,6 +242,7 @@ func TestServePaginationDifferential(t *testing.T) {
 		}
 	}
 	covered := map[string]int{}
+	var reused uint64
 	for _, seed := range seeds {
 		for _, rc := range routes {
 			rng := rand.New(rand.NewSource(seed))
@@ -270,6 +271,26 @@ func TestServePaginationDifferential(t *testing.T) {
 				t.Fatalf("seed %d %s: stream ≠ oracle\nreplay: go test ./internal/serve -run %s -seed=%d",
 					seed, rc.name, t.Name(), seed)
 			}
+
+			// A second server over the same unmutated database binds the
+			// statement again; this time every atom projection comes from
+			// the base relations' caches, and the answers must not change.
+			before := db.ProjectionStats()
+			h2 := newHandler(db, serve.Config{})
+			if got := walkPages(t, h2, q.String(), 3); !sameSets(got, want) {
+				t.Fatalf("seed %d %s: second server's pages ≠ oracle\nreplay: go test ./internal/serve -run %s -seed=%d",
+					seed, rc.name, t.Name(), seed)
+			}
+			if got := streamAll(t, h2, q.String()); !sameSets(got, want) {
+				t.Fatalf("seed %d %s: second server's stream ≠ oracle\nreplay: go test ./internal/serve -run %s -seed=%d",
+					seed, rc.name, t.Name(), seed)
+			}
+			after := db.ProjectionStats()
+			if after.Misses != before.Misses || after.Hits+after.Bypass == before.Hits+before.Bypass {
+				t.Fatalf("seed %d %s: second server's bind did not reuse the projections: %+v then %+v",
+					seed, rc.name, before, after)
+			}
+			reused += after.Hits - before.Hits
 
 			// Resume-after-mutation: a mid-pagination cursor dies with 410
 			// once the database moves; restarting from scratch reflects the
@@ -327,6 +348,9 @@ func TestServePaginationDifferential(t *testing.T) {
 		if covered[rc.name] == 0 {
 			t.Errorf("route %s: no seed produced an instance", rc.name)
 		}
+	}
+	if reused == 0 {
+		t.Errorf("no second server hit the projection cache")
 	}
 	t.Logf("instances per route: %v", covered)
 }

@@ -75,6 +75,13 @@ type Stats struct {
 	LatencyP99NS    int64            `json:"latency_p99_ns"`
 	LatencyMaxNS    int64            `json:"latency_max_ns"`
 	LatencyCount    int64            `json:"latency_count"`
+	// Atom projection cache outcomes summed over the database's relations
+	// (database.ProjectionStats): binds served a shared projection (hits),
+	// built and cached one (misses), or built one uncached for an atom
+	// with constants (bypass).
+	ProjectionHits   uint64 `json:"projection_hits"`
+	ProjectionMisses uint64 `json:"projection_misses"`
+	ProjectionBypass uint64 `json:"projection_bypass"`
 }
 
 // Stats snapshots the server's counters, cache statistics, and latency
@@ -109,6 +116,8 @@ func (s *Server) Stats() Stats {
 		LatencyCount: s.m.latency.Count(),
 	}
 	st.CacheHits, st.CacheMisses = s.cache.Stats()
+	ps := s.db.ProjectionStats()
+	st.ProjectionHits, st.ProjectionMisses, st.ProjectionBypass = ps.Hits, ps.Misses, ps.Bypass
 	s.m.requests.Range(func(k, v interface{}) bool {
 		st.Requests[k.(string)] = v.(*atomic.Int64).Load()
 		return true

@@ -340,8 +340,10 @@ func (s *Server) withStatement(ctx context.Context, p *plan.Plan, fn func(pr *pl
 }
 
 // writeQueryError maps statement-path errors onto the wire: bind-lane
-// shedding → 503 with a Retry-After hint, deadline expiry → 504, anything
-// else (unsupported queries, bind failures) → 400.
+// shedding → 503 with a Retry-After hint, a statement that went stale on
+// every withStatement attempt (mutations kept outrunning its binds) → 503
+// with a one-second Retry-After, deadline expiry → 504, anything else
+// (unsupported queries, bind failures) → 400.
 func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	var sh *shedError
 	switch {
@@ -349,6 +351,9 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int((sh.retryAfter+time.Second-1)/time.Second)))
 		writeError(w, http.StatusServiceUnavailable, "bind_overloaded", sh.detail)
+	case errors.Is(err, plan.ErrStalePlan):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "stale_plan", err.Error())
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.m.deadlineExpired.Add(1)
 		writeError(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
