@@ -2,6 +2,14 @@
 // scheduled by a Poisson or bursty process at a configured offered rate,
 // independent of how fast the server responds — so saturation shows up as
 // rising latency and 429 backpressure instead of a politely slowing client.
+// The schedule is absolute (each arrival time is the previous one plus a
+// drawn gap, never "now" plus a gap), latency is taken from the intended
+// send time, and every trial reports the rate it actually sent at against
+// the rate its own schedule offered, and how late its sends started. A
+// trial is marked invalid when that ratio falls below 0.95 or when more
+// than 1% of its sends started over one mean arrival gap (at least 2 ms,
+// the timer jitter) late: then the generator, not the server, set its
+// pace.
 //
 // The workload is derived from -seed exactly as qservd -gen derives it, so
 // both sides agree on the queries, relations, and mutation tuples with no
@@ -77,9 +85,17 @@ var (
 // classes in a fixed order for deterministic mix sampling and reporting.
 var classes = []string{"decide", "enumerate", "count", "mutate"}
 
+// minSentRatio is the sent/scheduled rate ratio below which a trial is
+// marked invalid: the generator fell behind its own schedule.
+const minSentRatio = 0.95
+
 type trialResult struct {
 	offered  float64
-	sent     int64
+	sent     int64         // main-mix arrivals issued (storm arrivals excluded)
+	sentRate float64       // main-mix arrivals issued per second of the sending phase
+	ratio    float64       // sentRate over the schedule's own rate (sent / trial duration)
+	gap      time.Duration // mean gap between scheduled arrivals
+	valid    bool          // the generator kept its schedule (see validTrial)
 	ok       int64
 	rejected int64 // 429 backpressure
 	stale    int64 // 410 stale cursors/handles (expected under mutation and eviction)
@@ -88,6 +104,7 @@ type trialResult struct {
 	stormOK  int64 // storm requests that bound and answered in time
 	errors   int64 // malformed or unexpected responses
 	elapsed  time.Duration
+	late     *obs.Histogram // how far each main-mix send started after its intended time
 	overall  *obs.Histogram // warm (main-mix) traffic only — never storm latencies
 	storm    *obs.Histogram
 	byClass  map[string]*obs.Histogram
@@ -170,17 +187,22 @@ func main() {
 
 	fmt.Printf("qload: seed=%d queries=%d arrivals=%s mix=%s duration=%s handles=%v storm=%.0f/s\n",
 		*seed, *nQueries, *arrivals, *mix, *duration, *useHandles, *stormRate)
-	fmt.Printf("%10s %12s %10s %10s %10s %8s %8s %8s %8s %8s\n",
-		"offered", "achieved", "p50(ms)", "p99(ms)", "max(ms)", "429", "410", "503", "504", "errors")
+	fmt.Printf("%10s %10s %7s %10s %10s %10s %10s %10s %8s %8s %8s %8s %8s\n",
+		"offered", "sent/s", "ratio", "ok/s", "late99(ms)", "p50(ms)", "p99(ms)", "max(ms)", "429", "410", "503", "504", "errors")
 
 	var results []trialResult
 	for _, r := range sweep {
 		res := ld.runTrial(r, *duration)
 		results = append(results, res)
-		fmt.Printf("%10.0f %12.1f %10.2f %10.2f %10.2f %8d %8d %8d %8d %8d\n",
-			res.offered, float64(res.ok)/res.elapsed.Seconds(),
+		fmt.Printf("%10.0f %10.1f %7.3f %10.1f %10.2f %10.2f %10.2f %10.2f %8d %8d %8d %8d %8d\n",
+			res.offered, res.sentRate, res.ratio, float64(res.ok)/res.elapsed.Seconds(),
+			ms(res.late.QuantileInterpolated(0.99)),
 			ms(res.overall.QuantileInterpolated(0.5)), ms(res.overall.QuantileInterpolated(0.99)), ms(res.overall.Max()),
 			res.rejected, res.stale, res.shed, res.expired, res.errors)
+		if !res.valid {
+			fmt.Printf("%10s   INVALID: sent at %.1f%% of the scheduled rate, p99 send lateness %.2f ms against a %.2f ms allowance; the generator, not the server, set the pace\n",
+				"", 100*res.ratio, ms(res.late.QuantileInterpolated(0.99)), ms(max(res.gap, timerJitter).Nanoseconds()))
+		}
 		if *stormRate > 0 {
 			fmt.Printf("%10s   storm: ok=%d shed=%d expired=%d p99=%.2fms\n",
 				"", res.stormOK, res.shed, res.expired, ms(res.storm.QuantileInterpolated(0.99)))
@@ -245,12 +267,39 @@ func (ld *loader) waitHealthy(timeout time.Duration) error {
 	return fmt.Errorf("server at %s not healthy after %s", ld.base, timeout)
 }
 
+// timerJitter is the send lateness tolerated at any rate: a sleeping
+// goroutine wakes a little late even when the generator keeps up. Beyond
+// both it and one mean arrival gap, arrivals went out bunched.
+const timerJitter = 2 * time.Millisecond
+
+// validTrial reports whether a trial's generator kept its own schedule:
+// it sent at no less than minSentRatio of the scheduled rate, and 99% of
+// its sends started within one mean arrival gap (or the timer jitter, if
+// longer) of their intended time. The second test catches a generator
+// that fell behind mid-trial and caught up in a burst, which the rate
+// over the whole trial cannot see.
+func validTrial(ratio float64, lateP99 int64, gap time.Duration) bool {
+	return ratio >= minSentRatio && lateP99 <= max(gap, timerJitter).Nanoseconds()
+}
+
+// sleepUntil sleeps until t; it returns at once when t has passed, so a
+// schedule that fell behind catches up instead of slipping further.
+func sleepUntil(t time.Time) {
+	if d := time.Until(t); d > 0 {
+		time.Sleep(d)
+	}
+}
+
 // runTrial offers load at `offered` req/s for `d` and collects latency and
 // outcome statistics. Open loop: the arrival schedule never waits for
-// responses; each arrival runs in its own goroutine.
+// responses; each arrival runs in its own goroutine. Arrival times are
+// absolute offsets from the trial start, and each request's latency runs
+// from its intended send time, so generator lag shows up as latency and as
+// a lower sent rate instead of silently thinning the offered load.
 func (ld *loader) runTrial(offered float64, d time.Duration) trialResult {
 	res := trialResult{
 		offered: offered,
+		late:    &obs.Histogram{},
 		overall: &obs.Histogram{},
 		storm:   &obs.Histogram{},
 		byClass: map[string]*obs.Histogram{},
@@ -263,16 +312,16 @@ func (ld *loader) runTrial(offered float64, d time.Duration) trialResult {
 	start := time.Now()
 	end := start.Add(d)
 
-	fire := func() {
+	fire := func(intended time.Time) {
 		wg.Add(1)
+		res.late.Observe(time.Since(intended).Nanoseconds())
 		class := classes[sampleClass(rng, ld.weights, ld.wsum)]
 		qi := rng.Intn(len(ld.wl.Queries))
 		follow := rng.Intn(2) == 0
 		go func() {
 			defer wg.Done()
-			t0 := time.Now()
 			outcome := ld.request(class, qi, follow)
-			lat := time.Since(t0).Nanoseconds()
+			lat := time.Since(intended).Nanoseconds()
 			switch outcome {
 			case outcomeOK:
 				atomic.AddInt64(&res.ok, 1)
@@ -290,7 +339,7 @@ func (ld *loader) runTrial(offered float64, d time.Duration) trialResult {
 				atomic.AddInt64(&res.errors, 1)
 			}
 		}()
-		atomic.AddInt64(&res.sent, 1)
+		res.sent++
 	}
 
 	// Cold-bind storm: an independent open-loop arrival process of fresh
@@ -302,14 +351,13 @@ func (ld *loader) runTrial(offered float64, d time.Duration) trialResult {
 		go func() {
 			defer wg.Done()
 			srng := rand.New(rand.NewSource(*seed*7_654_321 + 1))
-			for time.Now().Before(end) {
+			for next := start; next.Before(end); next = next.Add(time.Duration(srng.ExpFloat64() / *stormRate * float64(time.Second))) {
+				sleepUntil(next)
 				wg.Add(1)
-				atomic.AddInt64(&res.sent, 1)
-				go func() {
+				go func(intended time.Time) {
 					defer wg.Done()
-					t0 := time.Now()
 					oc := ld.stormRequest()
-					lat := time.Since(t0).Nanoseconds()
+					lat := time.Since(intended).Nanoseconds()
 					switch oc {
 					case outcomeOK:
 						atomic.AddInt64(&res.stormOK, 1)
@@ -323,29 +371,41 @@ func (ld *loader) runTrial(offered float64, d time.Duration) trialResult {
 					default:
 						atomic.AddInt64(&res.errors, 1)
 					}
-				}()
-				time.Sleep(time.Duration(srng.ExpFloat64() / *stormRate * float64(time.Second)))
+				}(next)
 			}
 		}()
 	}
 
 	switch *arrivals {
 	case "poisson":
-		for time.Now().Before(end) {
-			fire()
-			time.Sleep(time.Duration(rng.ExpFloat64() / offered * float64(time.Second)))
+		res.gap = time.Duration(float64(time.Second) / offered)
+		for next := start; next.Before(end); next = next.Add(time.Duration(rng.ExpFloat64() / offered * float64(time.Second))) {
+			sleepUntil(next)
+			fire(next)
 		}
 	case "bursty":
-		gap := time.Duration(float64(*burst) / offered * float64(time.Second))
-		for time.Now().Before(end) {
+		res.gap = time.Duration(float64(*burst) / offered * float64(time.Second))
+		for next := start; next.Before(end); next = next.Add(res.gap) {
+			sleepUntil(next)
 			for i := 0; i < *burst; i++ {
-				fire()
+				fire(next)
 			}
-			time.Sleep(gap)
 		}
 	default:
 		fatal(fmt.Errorf("unknown -arrivals %q", *arrivals))
 	}
+	// Every scheduled arrival is sent, so the count matches the schedule;
+	// a generator that fell behind sends its last arrival after end, which
+	// stretches the sending phase and lowers the sent rate. Comparing
+	// against the schedule's own rate keeps Poisson sampling noise out of
+	// the ratio.
+	sending := time.Since(start)
+	if sending < d {
+		sending = d
+	}
+	res.sentRate = float64(res.sent) / sending.Seconds()
+	res.ratio = d.Seconds() / sending.Seconds()
+	res.valid = validTrial(res.ratio, res.late.QuantileInterpolated(0.99), res.gap)
 	wg.Wait()
 	res.elapsed = time.Since(start)
 	return res
@@ -597,16 +657,20 @@ func writeReport(path string, results []trialResult) error {
 	var reports []expReport
 	for _, res := range results {
 		extra := map[string]interface{}{
-			"offered_rps":  res.offered,
-			"achieved_rps": float64(res.ok) / res.elapsed.Seconds(),
-			"p50_ns":       res.overall.QuantileInterpolated(0.5),
-			"max_ns":       res.overall.Max(),
-			"rejected_429": res.rejected,
-			"stale_410":    res.stale,
-			"shed_503":     res.shed,
-			"expired_504":  res.expired,
-			"errors":       res.errors,
-			"requests_ok":  res.ok,
+			"offered_rps":         res.offered,
+			"achieved_rps":        float64(res.ok) / res.elapsed.Seconds(),
+			"sent_rps":            res.sentRate,
+			"sent_over_scheduled": res.ratio,
+			"valid":               res.valid,
+			"late_p99_ns":         res.late.QuantileInterpolated(0.99),
+			"p50_ns":              res.overall.QuantileInterpolated(0.5),
+			"max_ns":              res.overall.Max(),
+			"rejected_429":        res.rejected,
+			"stale_410":           res.stale,
+			"shed_503":            res.shed,
+			"expired_504":         res.expired,
+			"errors":              res.errors,
+			"requests_ok":         res.ok,
 		}
 		if *stormRate > 0 {
 			extra["storm_rps"] = *stormRate

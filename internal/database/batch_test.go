@@ -25,9 +25,9 @@ func batchRelation(rng *rand.Rand, name string, arity, n, dom int) *Relation {
 	return r
 }
 
-// TestHashColsMatchesKeyHash pins the batched fingerprint kernel to the
-// scalar Tuple.KeyHash bit for bit, across the specialized one- and two-
-// column loops and the generic fallback.
+// TestHashColsMatchesKeyHash pins the batched fingerprints to the scalar
+// Tuple.KeyHash bit for bit: HashCols for every key width, and the inline
+// hash resolve computes for one- and two-column keys.
 func TestHashColsMatchesKeyHash(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, arity := range []int{1, 2, 3, 4} {
@@ -44,14 +44,28 @@ func TestHashColsMatchesKeyHash(t *testing.T) {
 					t.Fatalf("arity %d cols %v row %d: HashCols %x, KeyHash %x", arity, cols, i, dst[i], want)
 				}
 			}
+			if k > 2 {
+				continue
+			}
+			ix := r.IndexOn(cols)
+			if ix.Buckets() < 2 {
+				t.Fatalf("arity %d cols %v: %d keys, the one-key path hashes nothing", arity, cols, ix.Buckets())
+			}
+			run := ids[:min(len(ids), probeBatch)]
+			ix.resolve(*ix.shards.Load(), sl, cols, run, sc)
+			for i, id := range run {
+				if want := r.Tuples[id].KeyHash(cols); sc.fps[i] != want {
+					t.Fatalf("arity %d cols %v row %d: resolve %x, KeyHash %x", arity, cols, id, sc.fps[i], want)
+				}
+			}
 		}
 		sc.Release()
 	}
 }
 
 // TestBatchedProbeAllocs pins the warm batched probe path allocation-free:
-// with the flat tables built and the scratch buffers grown, ContainsBatch
-// and LookupBatch must not allocate.
+// with the scratch buffers grown, ContainsBatch and LookupBatch must not
+// allocate.
 func TestBatchedProbeAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := batchRelation(rng, "R", 2, 4096, 512)
@@ -61,7 +75,7 @@ func TestBatchedProbeAllocs(t *testing.T) {
 	cols := []int{1}
 	sc := GetScratch()
 	defer sc.Release()
-	ix.ContainsBatch(sl, cols, sc.Iota(r.Len()), sc) // warm tables and buffers
+	ix.ContainsBatch(sl, cols, sc.Iota(r.Len()), sc) // warm the buffers
 	allocs := testing.AllocsPerRun(50, func() {
 		ix.ContainsBatch(sl, cols, sc.Iota(r.Len()), sc)
 	})
@@ -92,8 +106,9 @@ func sameIDs(a, b []int32) bool {
 
 // TestBatchedForcedCollisions degrades every fingerprint to one of two
 // values (the scalar forced-collision setup) and checks that the batched
-// kernels — flat tables, inline-key short-circuit, result cache — still
-// resolve every probe exactly like the scalar Lookup/Contains path.
+// kernels — batched hashing, inline-key short-circuit, same-fingerprint
+// slots — still resolve every probe exactly like the scalar Lookup/Contains
+// path.
 func TestBatchedForcedCollisions(t *testing.T) {
 	degenerate := func(tu Tuple, cols []int) uint64 {
 		if len(cols) > 0 {
@@ -160,8 +175,10 @@ func lookupAll(ix *Index, probes []Tuple, cols []int) [][]int32 {
 
 // TestIndexCompact churns an index through add/remove cycles — the
 // ConstRefresher access pattern — and checks that Compact reclaims the
-// abandoned slots, preserves every bucket (including fingerprint-collision
-// overflow spans), and keeps waste bounded when invoked at the threshold.
+// abandoned slots, preserves every bucket (including the same-fingerprint
+// slots of colliding keys), keeps waste bounded when invoked at the
+// threshold, and keeps Buckets() at the live key count. It also grows a
+// 1-row index through several table doublings.
 func TestIndexCompact(t *testing.T) {
 	degenerate := func(tu Tuple, cols []int) uint64 {
 		if len(cols) > 0 {
@@ -224,6 +241,16 @@ func TestIndexCompact(t *testing.T) {
 			if bound := 64 + 8*128; maxWaste > bound {
 				t.Fatalf("waste reached %d under periodic compaction, bound %d", maxWaste, bound)
 			}
+			// Buckets() counts the true keys of the live rows after churn.
+			liveKeys := map[Value]bool{}
+			for i, tu := range r.Tuples {
+				if live[i] {
+					liveKeys[tu[0]] = true
+				}
+			}
+			if ix.Buckets() != len(liveKeys) {
+				t.Fatalf("Buckets() = %d after churn, want %d live keys", ix.Buckets(), len(liveKeys))
+			}
 			// Batched probes agree with scalar after churn + compaction.
 			ix.Compact()
 			sc := GetScratch()
@@ -237,6 +264,39 @@ func TestIndexCompact(t *testing.T) {
 			}
 			if !sameIDs(got, want) {
 				t.Fatalf("post-churn ContainsBatch %v, scalar %v", got, want)
+			}
+
+			// Growth from a 1-row index: AddRow doubles the table from 2
+			// slots to 256 and every key stays exact.
+			g := NewRelation("G", 2)
+			g.InsertValues(0, 0)
+			gsl := g.Slab()
+			gix := buildIndex(g.Tuples, []int{0}, gsl, 1, tc.hash)
+			if n := len((*gix.shards.Load())[0].slots); n != 2 {
+				t.Fatalf("1-row index has a %d-slot table, want 2", n)
+			}
+			for i := 1; i < 300; i++ {
+				var id int32
+				gsl, id = gsl.Append(Tuple{Value(i % 100), Value(i)})
+				gix.SetSlab(gsl)
+				gix.AddRow(id)
+			}
+			if n := len((*gix.shards.Load())[0].slots); n != 256 {
+				t.Fatalf("grown index has a %d-slot table, want 256 for 100 keys", n)
+			}
+			if gix.Buckets() != 100 {
+				t.Fatalf("grown index: Buckets() = %d, want 100", gix.Buckets())
+			}
+			for v := 0; v < 100; v++ {
+				var want []int32
+				for id := int32(0); id < int32(gsl.Len()); id++ {
+					if gsl.Row(id)[0] == Value(v) {
+						want = append(want, id)
+					}
+				}
+				if got := gix.Lookup(Tuple{Value(v)}, []int{0}); !sameIDs(got, want) {
+					t.Fatalf("grown index: key %d bucket %v, want %v", v, got, want)
+				}
 			}
 		})
 	}

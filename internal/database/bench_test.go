@@ -114,8 +114,8 @@ func BenchmarkSemijoinBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkLookupBatch pins the warm batched probe path itself: tables and
-// scratch buffers prebuilt, zero allocs/op (the batch analogue of
+// BenchmarkLookupBatch pins the warm batched probe path itself: scratch
+// buffers prebuilt, zero allocs/op (the batch analogue of
 // BenchmarkLookup's pinned scalar probe).
 func BenchmarkLookupBatch(b *testing.B) {
 	r := benchRelation("R", 1, benchN, benchDom)
@@ -125,7 +125,7 @@ func BenchmarkLookupBatch(b *testing.B) {
 	sc := database.GetScratch()
 	defer sc.Release()
 	cols := []int{1}
-	ix.ContainsBatch(sl, cols, sc.Iota(r.Len()), sc) // warm tables and buffers
+	ix.ContainsBatch(sl, cols, sc.Iota(r.Len()), sc) // warm the buffers
 	b.SetBytes(int64(r.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -12,6 +12,7 @@ package database
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -128,15 +129,14 @@ type Relation struct {
 	Arity  int
 	Tuples []Tuple
 
-	mu         sync.Mutex // guards index/slab/projection construction
-	indexes    map[uint64]*Index
-	indexesBig map[string]*Index // column lists too wide for a packed signature
-	projs      map[uint64]*Relation
-	projsBig   map[string]*Relation // patterns too wide for a packed signature
-	slabPtr    atomic.Pointer[Slab]
-	sorted     bool // set by Sort/Dedup, cleared by inserts; enables binary-search Contains
-	mapped     bool // storage aliases read-only snapshot pages; promoted to heap on first mutation
-	frozen     bool // a cached atom projection: set before publication, mutations panic
+	mu       sync.Mutex // guards index/slab/projection construction
+	indexes  []*Index   // one per column list; a relation holds a handful
+	projs    map[uint64]*Relation
+	projsBig map[string]*Relation // patterns too wide for a packed signature
+	slabPtr  atomic.Pointer[Slab]
+	sorted   bool // set by Sort/Dedup, cleared by inserts; enables binary-search Contains
+	mapped   bool // storage aliases read-only snapshot pages; promoted to heap on first mutation
+	frozen   bool // a cached atom projection: set before publication, mutations panic
 
 	projHits, projMisses, projBypass atomic.Uint64 // AtomProjection outcomes
 
@@ -337,18 +337,9 @@ func (r *Relation) ParIndexOn(cols []int, par int) *Index {
 }
 
 func (r *Relation) indexOn(cols []int, par int) *Index {
-	sig, packed := colsSig(cols)
-	var bigSig string
-	if !packed {
-		bigSig = colsSigBig(cols)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if packed {
-		if ix, ok := r.indexes[sig]; ok {
-			return ix
-		}
-	} else if ix, ok := r.indexesBig[bigSig]; ok {
+	if ix := r.cachedIndexLocked(cols); ix != nil {
 		return ix
 	}
 	if par < 2 || len(r.Tuples) < 1024 {
@@ -359,18 +350,31 @@ func (r *Relation) indexOn(cols []int, par int) *Index {
 		hash = *p
 	}
 	ix := buildIndex(r.Tuples, cols, r.slabLocked(), par, hash)
-	if packed {
-		if r.indexes == nil {
-			r.indexes = make(map[uint64]*Index)
-		}
-		r.indexes[sig] = ix
-	} else {
-		if r.indexesBig == nil {
-			r.indexesBig = make(map[string]*Index)
-		}
-		r.indexesBig[bigSig] = ix
-	}
+	r.setIndexLocked(ix)
 	return ix
+}
+
+// cachedIndexLocked returns the relation's index on cols, or nil. r.mu
+// must be held.
+func (r *Relation) cachedIndexLocked(cols []int) *Index {
+	for _, ix := range r.indexes {
+		if slices.Equal(ix.Cols, cols) {
+			return ix
+		}
+	}
+	return nil
+}
+
+// setIndexLocked caches ix, replacing any index on the same columns. r.mu
+// must be held.
+func (r *Relation) setIndexLocked(ix *Index) {
+	for i, old := range r.indexes {
+		if slices.Equal(old.Cols, ix.Cols) {
+			r.indexes[i] = ix
+			return
+		}
+	}
+	r.indexes = append(r.indexes, ix)
 }
 
 // Project returns a new deduplicated relation containing the projection of r
@@ -587,8 +591,7 @@ func Join(name string, r *Relation, rCols []int, s *Relation, sCols []int) *Rela
 	out.Tuples = make([]Tuple, 0, n)
 	sl := r.Slab()
 	sc := GetScratch()
-	st := ix.tables()
-	sc.epoch++
+	shards := *ix.shards.Load()
 	// The probe loop is LookupBatch inlined (an emit closure on this hot
 	// path costs an indirect call per matching probe); output tuples are
 	// sliced off arena chunks instead of allocated one by one.
@@ -596,20 +599,14 @@ func Join(name string, r *Relation, rCols []int, s *Relation, sCols []int) *Rela
 	const arenaRows = 1024
 	var arena []Value
 	for lo := 0; lo < n; lo += probeBatch {
-		hi := lo + probeBatch
-		if hi > n {
-			hi = n
-		}
-		batch := sc.IotaRange(lo, hi)
-		fps := sc.fps[:len(batch)]
-		ix.hashRows(sl, rCols, batch, fps)
+		batch := sc.IotaRange(lo, min(lo+probeBatch, n))
+		ix.resolve(shards, sl, rCols, batch, sc)
 		for i, id := range batch {
-			ids := sc.bucket(ix, st, sl, rCols, fps[i], id)
-			if len(ids) == 0 {
+			if sc.hit[i] < 0 {
 				continue
 			}
 			t := r.Tuples[id]
-			for _, sid := range ids {
+			for _, sid := range ix.hitBucket(shards, sc, i) {
 				u := ix.Row(sid)
 				if len(arena) < ar {
 					arena = make([]Value, arenaRows*ar)

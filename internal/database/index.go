@@ -3,14 +3,19 @@ package database
 // The index layer: allocation-free hash indexes over columnar tuple slabs.
 //
 // A Relation freezes its tuples into a Slab — one flat []Value with
-// arity-strided rows — and an Index groups row ids by a 64-bit fingerprint
-// of the key columns. Buckets store row ids (int32) into the slab, so a
-// probe performs no allocation: hash the probe columns, look the
-// fingerprint up, compare the actual key columns of the bucketed rows to
-// resolve fingerprint collisions exactly, and return a sub-slice of the
-// index's row array. The RAM-model dictionaries of Section 2.3 (linear
-// preprocessing, constant-time probes) are exactly this structure; keeping
-// the probe free of allocation is what makes the constant factor small.
+// arity-strided rows — and an Index groups row ids into one bucket per
+// exact key projection. Each index shard has a single directory: a flat
+// open-addressing table with one 32-byte slot per distinct key, holding
+// the key's 64-bit fingerprint, its key values inlined, and its bucket as
+// a span of the shard's row array. A probe hashes the probe columns, walks
+// the linear probe sequence from the fingerprint's home slot, resolves
+// fingerprint collisions exactly by comparing the key, and returns a
+// sub-slice of the row array, so it performs no allocation. Scalar Lookup,
+// the batch kernels (batch.go) and the in-place patches of delta refresh
+// all use this one table. The RAM-model dictionaries of Section 2.3
+// (linear preprocessing, constant-time probes) are exactly this structure;
+// keeping the probe free of allocation is what makes the constant factor
+// small.
 
 import (
 	"fmt"
@@ -226,9 +231,8 @@ func identityCols(arity int) []int {
 }
 
 // colsSig packs a column list into one uint64 — 4 bits of length, 7 bits
-// per column — as the index-cache key, replacing the old fmt.Sprint
-// signature (reflection plus an allocation under the relation mutex).
-// Lists longer than 8 columns or with column numbers ≥ 126 fall back to a
+// per column — as the atom-projection cache key (atomproj.go). Lists
+// longer than 8 columns or with column numbers ≥ 126 fall back to a
 // byte-string signature (colsSigBig).
 func colsSig(cols []int) (uint64, bool) {
 	if len(cols) > 8 {
@@ -254,27 +258,42 @@ func colsSigBig(cols []int) string {
 
 // --- the index --------------------------------------------------------
 
-// span is one bucket: rows [off, off+n) of its shard's row array, all
-// sharing a single key-column projection.
-type span struct{ off, n int32 }
+// tableEnt is one slot of a shard's hash directory: one distinct key, with
+// its fingerprint, its bucket (rows [off, off+n) of the shard's row array)
+// and its key values inlined. Keys of up to two columns, all the engines
+// emit today, fit in k0/k1, so resolving the exact key is a compare within
+// the already-loaded slot instead of a random access into the indexed
+// slab. n == 0 marks a free slot (buckets are never empty); 32 bytes per
+// slot, two slots per cache line.
+type tableEnt struct {
+	fp     uint64
+	off    int32
+	n      int32
+	k0, k1 Value
+}
 
-// shard holds the buckets of the fingerprints routed to it. buckets maps a
-// fingerprint to its first bucket; in the (cosmically rare) event that two
-// distinct keys share a fingerprint, the extra buckets live in overflow.
+// shard holds the buckets of the fingerprints routed to it: a flat
+// open-addressing table with one slot per distinct key, and the CSR row
+// array the slots' buckets point into. Slots are addressed by the high
+// fingerprint bits (the low bits route between shards) and probed
+// linearly. Distinct keys that share a fingerprint (a real 64-bit
+// collision, or a degraded test hash) are simply further slots with the
+// same fp, told apart by comparing keys. The table length is a power of
+// two (nil while the shard holds no key) and the table is kept at most
+// half full, so every probe sequence ends at a free slot.
 type shard struct {
-	buckets  map[uint64]span
-	rows     []int32
-	overflow map[uint64][]span
+	slots []tableEnt
+	keys  int // occupied slots
+	rows  []int32
 }
 
 // Index is a hash index of a relation's tuples keyed on a column subset.
-// Buckets hold row ids into the relation's Slab, grouped by the exact key
-// projection (fingerprint collisions are resolved at build time), and are
-// partitioned into one or more fingerprint-disjoint shards: a sequential
-// build produces a single shard, a parallel build (ParIndexOn) one shard
-// per worker. After construction the index is read-only, so lookups from
-// many goroutines need no locking, and the probe path performs zero
-// allocations.
+// Buckets hold row ids into the relation's Slab, one bucket per exact key
+// projection, and are partitioned into one or more fingerprint-disjoint
+// shards: a sequential build produces a single shard, a parallel build
+// (ParIndexOn) one shard per worker. After construction the index is
+// read-only, so lookups from many goroutines need no locking, and the
+// probe path performs zero allocations.
 type Index struct {
 	Cols  []int
 	slab  Slab
@@ -283,20 +302,9 @@ type Index struct {
 	mask  uint32
 	waste int // row slots abandoned by AddRow relocations and RemoveRow shrinks
 
-	// state holds the bucket layout, plus the lazily built flat probe
-	// tables of the batch kernels, behind one atomic pointer: Compact and
-	// the lazy table build swap in a whole new layout while concurrent
-	// readers keep a consistent view of the old one.
-	state   atomic.Pointer[indexState]
-	tableMu sync.Mutex // serializes lazy table builds and Compact swaps
-}
-
-// indexState is one immutable-together snapshot of an index's layout.
-// tables (when non-nil) is derived from exactly these shards; bundling
-// them keeps a reader from pairing fresh tables with stale spans.
-type indexState struct {
-	shards []shard
-	tables []probeTable // one per shard; nil until a batched probe builds them
+	// shards is swapped whole by Compact, so concurrent readers keep a
+	// consistent view of the layout they loaded.
+	shards atomic.Pointer[[]shard]
 }
 
 // keyEq reports whether the indexed row's key columns equal the probe's
@@ -311,24 +319,75 @@ func (ix *Index) keyEq(row int32, probe Tuple, probeCols []int) bool {
 	return true
 }
 
+// find walks the probe sequence of fingerprint fp in the shard's table
+// and returns the slot holding probe's key, or false at the free slot that
+// ends the sequence (at once when the table is empty). One- and two-
+// column keys compare against the slot's inlined values, wider ones
+// against the bucket's first row.
+func (ix *Index) find(sh *shard, fp uint64, probe Tuple, probeCols []int) (uint32, bool) {
+	var k0, k1 Value
+	switch len(probeCols) {
+	case 0:
+	case 1:
+		k0 = probe[probeCols[0]]
+	case 2:
+		k0, k1 = probe[probeCols[0]], probe[probeCols[1]]
+	default:
+		return ix.findWide(sh, fp, probe, probeCols)
+	}
+	return sh.findKey(fp, k0, k1)
+}
+
+// findKey is find for a key of at most two columns, given by its values
+// k0 and k1 (zero for an absent column, as insert stores them).
+func (sh *shard) findKey(fp uint64, k0, k1 Value) (uint32, bool) {
+	if len(sh.slots) == 0 {
+		return 0, false
+	}
+	mask := uint32(len(sh.slots) - 1)
+	for i := uint32(fp>>32) & mask; ; i = (i + 1) & mask {
+		e := &sh.slots[i]
+		if e.n == 0 {
+			return i, false
+		}
+		if e.fp == fp && e.k0 == k0 && e.k1 == k1 {
+			return i, true
+		}
+	}
+}
+
+// findWide is find for a key of three or more columns.
+func (ix *Index) findWide(sh *shard, fp uint64, probe Tuple, probeCols []int) (uint32, bool) {
+	if len(sh.slots) == 0 {
+		return 0, false
+	}
+	mask := uint32(len(sh.slots) - 1)
+	for i := uint32(fp>>32) & mask; ; i = (i + 1) & mask {
+		e := &sh.slots[i]
+		if e.n == 0 {
+			return i, false
+		}
+		if e.fp == fp && ix.keyEq(sh.rows[e.off], probe, probeCols) {
+			return i, true
+		}
+	}
+}
+
+// bucket returns the bucket held by table slot i of shard sh.
+func (sh *shard) bucket(i uint32) []int32 {
+	e := &sh.slots[i]
+	return sh.rows[e.off : e.off+e.n : e.off+e.n]
+}
+
 // Lookup returns the ids of all rows whose key columns equal probe's
 // projection onto probeCols (aligned with the index's Cols). The returned
 // slice aliases the index's row array; it is valid until the index is
 // garbage collected and must not be modified. Lookup allocates nothing.
 func (ix *Index) Lookup(probe Tuple, probeCols []int) []int32 {
 	fp := ix.hash(probe, probeCols)
-	sh := &ix.state.Load().shards[uint32(fp)&ix.mask]
-	sp, ok := sh.buckets[fp]
-	if !ok {
-		return nil
-	}
-	if ix.keyEq(sh.rows[sp.off], probe, probeCols) {
-		return sh.rows[sp.off : sp.off+sp.n : sp.off+sp.n]
-	}
-	for _, sp := range sh.overflow[fp] {
-		if ix.keyEq(sh.rows[sp.off], probe, probeCols) {
-			return sh.rows[sp.off : sp.off+sp.n : sp.off+sp.n]
-		}
+	sh := &(*ix.shards.Load())[uint32(fp)&ix.mask]
+	if i, ok := ix.find(sh, fp, probe, probeCols); ok {
+		return sh.bucket(i)
 	}
 	return nil
 }
@@ -353,15 +412,79 @@ func (ix *Index) Row(id int32) Tuple { return ix.slab.Row(id) }
 
 // Buckets returns the number of distinct keys in the index.
 func (ix *Index) Buckets() int {
-	shards := ix.state.Load().shards
 	n := 0
-	for i := range shards {
-		n += len(shards[i].buckets)
-		for _, sps := range shards[i].overflow {
-			n += len(sps)
-		}
+	for _, sh := range *ix.shards.Load() {
+		n += sh.keys
 	}
 	return n
+}
+
+// tableSize is the table length for the given number of keys: the
+// smallest power of two (at least 2) that keeps the table at most half
+// full.
+func tableSize(keys int) int {
+	size := 2
+	for size < 2*keys {
+		size <<= 1
+	}
+	return size
+}
+
+// insert adds a slot for a key the shard does not hold yet: fingerprint
+// fp, bucket [off, off+n), and the key values read from rep (any row that
+// holds the key). The table doubles first if the new key would fill it
+// past half.
+func (ix *Index) insert(sh *shard, fp uint64, rep Tuple, off, n int32) {
+	if 2*(sh.keys+1) > len(sh.slots) {
+		sh.resize(tableSize(sh.keys + 1))
+	}
+	e := tableEnt{fp: fp, off: off, n: n}
+	if len(ix.Cols) >= 1 {
+		e.k0 = rep[ix.Cols[0]]
+	}
+	if len(ix.Cols) >= 2 {
+		e.k1 = rep[ix.Cols[1]]
+	}
+	sh.place(e)
+	sh.keys++
+}
+
+// place stores e in the first free slot of its probe sequence.
+func (sh *shard) place(e tableEnt) {
+	mask := uint32(len(sh.slots) - 1)
+	i := uint32(e.fp>>32) & mask
+	for sh.slots[i].n != 0 {
+		i = (i + 1) & mask
+	}
+	sh.slots[i] = e
+}
+
+// resize rehashes the shard's slots into a table of the given length.
+func (sh *shard) resize(size int) {
+	old := sh.slots
+	sh.slots = make([]tableEnt, size)
+	for _, e := range old {
+		if e.n != 0 {
+			sh.place(e)
+		}
+	}
+}
+
+// remove frees slot i by backward-shift deletion: each later slot of the
+// same probe run moves back into the hole unless its home slot lies
+// cyclically after the hole. No tombstone is left, and every remaining key
+// stays reachable from its home slot.
+func (sh *shard) remove(i uint32) {
+	mask := uint32(len(sh.slots) - 1)
+	for j := (i + 1) & mask; sh.slots[j].n != 0; j = (j + 1) & mask {
+		home := uint32(sh.slots[j].fp>>32) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			sh.slots[i] = sh.slots[j]
+			i = j
+		}
+	}
+	sh.slots[i] = tableEnt{}
+	sh.keys--
 }
 
 // buildIndex constructs the index over tuples (backed by sl) keyed on
@@ -374,12 +497,12 @@ func buildIndex(tuples []Tuple, cols []int, sl Slab, par int, hash keyHashFunc) 
 	if fast {
 		hash = defaultKeyHash
 	}
-	if par > runtime.GOMAXPROCS(0) {
-		par = runtime.GOMAXPROCS(0)
+	if par > 1 {
+		// GOMAXPROCS takes a runtime lock; the sequential build of a
+		// small relation, the common case, skips it.
+		par = min(par, runtime.GOMAXPROCS(0))
 	}
-	if par < 1 {
-		par = 1
-	}
+	par = max(par, 1)
 	shardCount := 1
 	for shardCount < par {
 		shardCount <<= 1
@@ -402,12 +525,12 @@ func buildIndex(tuples []Tuple, cols []int, sl Slab, par int, hash keyHashFunc) 
 				continue
 			}
 			wg.Add(1)
-			go func(lo, hi int) {
+			go func(lo, hi int, hash keyHashFunc) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
 					fps[i] = hash(tuples[i], cols)
 				}
-			}(lo, hi)
+			}(lo, hi, hash)
 		}
 		wg.Wait()
 	}
@@ -432,111 +555,80 @@ func buildIndex(tuples []Tuple, cols []int, sl Slab, par int, hash keyHashFunc) 
 		}
 		wg.Wait()
 	}
-	ix.state.Store(&indexState{shards: shards})
+	ix.shards.Store(&shards)
 	return ix
 }
 
-// buildShard builds the CSR bucket layout for the rows whose fingerprint
-// routes to shard s: assign each distinct fingerprint a dense id, count,
-// prefix-sum, fill, then split any bucket that mixes distinct true keys
-// (a real fingerprint collision) into per-key groups.
+// buildShard builds the table and row array of the rows whose fingerprint
+// routes to shard s. The first pass gives each distinct key a slot and
+// counts its rows; the second lays the buckets out in the order of each
+// key's first row, each bucket listing its rows in ascending id order.
+// During the first pass a slot's off is the key's rank in order of
+// appearance and the row array holds each key's first row by rank, so
+// find reads the same representative row it reads after the layout.
 func (ix *Index) buildShard(fps []uint64, s uint32) shard {
-	idOf := make(map[uint64]int32)
-	var counts []int32
-	var mine, ids []int32
+	m := len(fps) // rows routed to this shard
+	if ix.mask != 0 {
+		m = 0
+		for _, fp := range fps {
+			m += b2i(uint32(fp)&ix.mask == s)
+		}
+	}
+	// The shard holds at most m keys, so one scratch array carries the
+	// key rank of each routed row, the rows per key by rank (counts) and
+	// each key's first row by rank (the first-pass row array).
+	buf := make([]int32, 3*m)
+	rank, counts := buf[:0:m], buf[m:m:2*m]
+	sh := shard{rows: buf[2*m : 2*m : 3*m]}
 	for i, fp := range fps {
 		if uint32(fp)&ix.mask != s {
 			continue
 		}
-		id, ok := idOf[fp]
-		if !ok {
-			id = int32(len(counts))
-			idOf[fp] = id
+		t := ix.slab.Row(int32(i))
+		j, found := ix.find(&sh, fp, t, ix.Cols)
+		k := int32(len(counts))
+		if found {
+			k = sh.slots[j].off
+		} else {
+			sh.rows = append(sh.rows, int32(i))
 			counts = append(counts, 0)
+			ix.insert(&sh, fp, t, k, 1)
 		}
-		mine = append(mine, int32(i))
-		ids = append(ids, id)
-		counts[id]++
+		counts[k]++
+		rank = append(rank, k)
 	}
-	offs := make([]int32, len(counts))
+	// Prefix sums turn counts into bucket starts; the fill advances each
+	// start to its bucket's end, which is where the next bucket starts.
 	var off int32
-	for id, c := range counts {
-		offs[id] = off
+	for k, c := range counts {
+		counts[k] = off
 		off += c
 	}
-	rows := make([]int32, len(mine))
-	cur := make([]int32, len(counts))
-	for k, rowID := range mine {
-		id := ids[k]
-		rows[offs[id]+cur[id]] = rowID
-		cur[id]++
-	}
-	buckets := make(map[uint64]span, len(counts))
-	for fp, id := range idOf {
-		buckets[fp] = span{offs[id], counts[id]}
-	}
-	sh := shard{buckets: buckets, rows: rows}
-	// Exactness pass: a fingerprint bucket must hold a single true key.
-	for fp, sp := range buckets {
-		if sp.n > 1 && !ix.uniformKey(sh.rows, sp) {
-			groups := ix.splitSpan(sh.rows, sp)
-			buckets[fp] = groups[0]
-			if sh.overflow == nil {
-				sh.overflow = make(map[uint64][]span)
-			}
-			sh.overflow[fp] = groups[1:]
+	rows := make([]int32, m)
+	r := 0
+	for i, fp := range fps {
+		if uint32(fp)&ix.mask != s {
+			continue
 		}
+		k := rank[r]
+		r++
+		rows[counts[k]] = int32(i)
+		counts[k]++
 	}
+	for j := range sh.slots {
+		e := &sh.slots[j]
+		if e.n == 0 {
+			continue
+		}
+		k := e.off
+		e.off = 0
+		if k > 0 {
+			e.off = counts[k-1]
+		}
+		e.n = counts[k] - e.off
+	}
+	sh.rows = rows
 	return sh
-}
-
-// uniformKey reports whether every row of the span agrees with the first
-// on the key columns.
-func (ix *Index) uniformKey(rows []int32, sp span) bool {
-	first := ix.slab.Row(rows[sp.off])
-	for i := sp.off + 1; i < sp.off+sp.n; i++ {
-		t := ix.slab.Row(rows[i])
-		for _, c := range ix.Cols {
-			if t[c] != first[c] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// splitSpan stably regroups a colliding span's rows by their true key and
-// rewrites them back in group order, returning one sub-span per key.
-func (ix *Index) splitSpan(rows []int32, sp span) []span {
-	orig := append([]int32(nil), rows[sp.off:sp.off+sp.n]...)
-	var groups [][]int32
-next:
-	for _, rowID := range orig {
-		t := ix.slab.Row(rowID)
-		for g, grp := range groups {
-			rep := ix.slab.Row(grp[0])
-			same := true
-			for _, c := range ix.Cols {
-				if t[c] != rep[c] {
-					same = false
-					break
-				}
-			}
-			if same {
-				groups[g] = append(grp, rowID)
-				continue next
-			}
-		}
-		groups = append(groups, []int32{rowID})
-	}
-	spans := make([]span, len(groups))
-	off := sp.off
-	for g, grp := range groups {
-		copy(rows[off:], grp)
-		spans[g] = span{off, int32(len(grp))}
-		off += int32(len(grp))
-	}
-	return spans
 }
 
 // --- in-place patching ------------------------------------------------
@@ -560,122 +652,61 @@ func (ix *Index) SetSlab(s Slab) { ix.slab = s }
 // relocations and RemoveRow shrinks — a proxy for layout degradation.
 func (ix *Index) Waste() int { return ix.waste }
 
-// patchState returns the layout about to be patched in place, first
-// dropping any derived probe tables (their spans are about to go stale).
-// Callers are serialized with lookups per the patching contract above.
-func (ix *Index) patchState() *indexState {
-	st := ix.state.Load()
-	if st.tables != nil {
-		st = &indexState{shards: st.shards}
-		ix.state.Store(st)
-	}
-	return st
-}
-
-// AddRow routes slab row id into its bucket, creating the bucket if the
-// key is new. The row must already be present in the slab (SetSlab first
-// when it was just appended).
+// AddRow routes slab row id into its bucket, creating the bucket (a new
+// slot, doubling the table when it would pass half full) if the key is
+// new. The row must already be present in the slab (SetSlab first when it
+// was just appended).
 func (ix *Index) AddRow(id int32) {
 	t := ix.slab.Row(id)
 	fp := ix.hash(t, ix.Cols)
-	sh := &ix.patchState().shards[uint32(fp)&ix.mask]
-	sp, ok := sh.buckets[fp]
-	if !ok {
-		sh.rows = append(sh.rows, id)
-		sh.buckets[fp] = span{int32(len(sh.rows) - 1), 1}
+	sh := &(*ix.shards.Load())[uint32(fp)&ix.mask]
+	if i, ok := ix.find(sh, fp, t, ix.Cols); ok {
+		ix.appendToBucket(sh, &sh.slots[i], id)
 		return
 	}
-	if ix.keyEq(sh.rows[sp.off], t, ix.Cols) {
-		sh.buckets[fp] = ix.appendToSpan(sh, sp, id)
-		return
-	}
-	for i, osp := range sh.overflow[fp] {
-		if ix.keyEq(sh.rows[osp.off], t, ix.Cols) {
-			sh.overflow[fp][i] = ix.appendToSpan(sh, osp, id)
-			return
-		}
-	}
-	// New key whose fingerprint collides with an existing one.
 	sh.rows = append(sh.rows, id)
-	if sh.overflow == nil {
-		sh.overflow = make(map[uint64][]span)
-	}
-	sh.overflow[fp] = append(sh.overflow[fp], span{int32(len(sh.rows) - 1), 1})
+	ix.insert(sh, fp, t, int32(len(sh.rows)-1), 1)
 }
 
-// appendToSpan grows a bucket by one row: in place when the span already
-// sits at the tail of the shard's row array, otherwise by relocating the
-// whole bucket to the tail (keeping it contiguous for Lookup) and
-// abandoning the old slots.
-func (ix *Index) appendToSpan(sh *shard, sp span, id int32) span {
-	if int(sp.off+sp.n) == len(sh.rows) {
-		sh.rows = append(sh.rows, id)
-		return span{sp.off, sp.n + 1}
+// appendToBucket grows slot e's bucket by one row: in place when the
+// bucket already sits at the tail of the shard's row array, otherwise by
+// relocating the whole bucket to the tail (keeping it contiguous for
+// Lookup) and abandoning the old slots.
+func (ix *Index) appendToBucket(sh *shard, e *tableEnt, id int32) {
+	if int(e.off+e.n) != len(sh.rows) {
+		off := int32(len(sh.rows))
+		sh.rows = append(sh.rows, sh.rows[e.off:e.off+e.n]...)
+		ix.waste += int(e.n)
+		e.off = off
 	}
-	off := int32(len(sh.rows))
-	sh.rows = append(sh.rows, sh.rows[sp.off:sp.off+sp.n]...)
 	sh.rows = append(sh.rows, id)
-	ix.waste += int(sp.n)
-	return span{off, sp.n + 1}
+	e.n++
 }
 
 // RemoveRow cuts slab row id out of its bucket, reporting whether it was
-// found. The bucket shrinks in place (the removed slot is swapped with
-// the bucket's last and abandoned); an emptied bucket is deleted, with
-// any fingerprint-colliding overflow span promoted in its place.
+// found. The bucket shrinks in place (the removed slot is swapped with the
+// bucket's last and abandoned); an emptied bucket frees its table slot.
 func (ix *Index) RemoveRow(id int32) bool {
 	t := ix.slab.Row(id)
 	fp := ix.hash(t, ix.Cols)
-	sh := &ix.patchState().shards[uint32(fp)&ix.mask]
-	sp, ok := sh.buckets[fp]
+	sh := &(*ix.shards.Load())[uint32(fp)&ix.mask]
+	i, ok := ix.find(sh, fp, t, ix.Cols)
 	if !ok {
 		return false
 	}
-	if cut, found := ix.cutFromSpan(sh, sp, id); found {
-		if cut.n == 0 {
-			if ovs := sh.overflow[fp]; len(ovs) > 0 {
-				sh.buckets[fp] = ovs[0]
-				if len(ovs) == 1 {
-					delete(sh.overflow, fp)
-				} else {
-					sh.overflow[fp] = ovs[1:]
-				}
-			} else {
-				delete(sh.buckets, fp)
-			}
-		} else {
-			sh.buckets[fp] = cut
-		}
-		return true
-	}
-	for i, osp := range sh.overflow[fp] {
-		if cut, found := ix.cutFromSpan(sh, osp, id); found {
-			if cut.n == 0 {
-				ovs := sh.overflow[fp]
-				sh.overflow[fp] = append(ovs[:i], ovs[i+1:]...)
-				if len(sh.overflow[fp]) == 0 {
-					delete(sh.overflow, fp)
-				}
-			} else {
-				sh.overflow[fp][i] = cut
+	e := &sh.slots[i]
+	for k := e.off; k < e.off+e.n; k++ {
+		if sh.rows[k] == id {
+			e.n--
+			sh.rows[k] = sh.rows[e.off+e.n]
+			ix.waste++
+			if e.n == 0 {
+				sh.remove(i)
 			}
 			return true
 		}
 	}
 	return false
-}
-
-// cutFromSpan removes id from the span if present, swapping it with the
-// span's last row and shrinking by one.
-func (ix *Index) cutFromSpan(sh *shard, sp span, id int32) (span, bool) {
-	for i := sp.off; i < sp.off+sp.n; i++ {
-		if sh.rows[i] == id {
-			sh.rows[i] = sh.rows[sp.off+sp.n-1]
-			ix.waste++
-			return span{sp.off, sp.n - 1}, true
-		}
-	}
-	return sp, false
 }
 
 // Compact rebuilds every shard's row array with the buckets laid out
@@ -691,72 +722,59 @@ func (ix *Index) Compact() int {
 	if ix.waste == 0 {
 		return 0
 	}
-	ix.tableMu.Lock()
-	defer ix.tableMu.Unlock()
-	old := ix.state.Load().shards
+	old := *ix.shards.Load()
 	shards := make([]shard, len(old))
 	for i := range old {
-		shards[i] = compactShard(&old[i])
+		shards[i] = compactShard(&old[i], nil)
 	}
 	reclaimed := ix.waste
 	ix.waste = 0
-	ix.state.Store(&indexState{shards: shards})
+	ix.shards.Store(&shards)
 	return reclaimed
 }
 
 // Rebase returns a new index over a compacted slab: remap translates every
 // old slab row id to its new id, as produced by Relation.CompactSlab.
-// Bucket structure — the fingerprint → key grouping, each bucket's content
-// order, overflow chains — is preserved exactly, so an enumeration pass
-// over the rebased index visits rows in the same order as over the
-// original; only the ids and the (now dense) CSR layout change. The
-// receiver is left fully intact, keeping in-flight cursors over the old
-// slab valid.
+// Bucket structure — the key grouping and each bucket's content order — is
+// preserved exactly, so an enumeration pass over the rebased index visits
+// rows in the same order as over the original; only the ids and the (now
+// dense) CSR layout change. The receiver is left fully intact, keeping
+// in-flight cursors over the old slab valid.
 func (ix *Index) Rebase(sl Slab, remap []int32) *Index {
 	nix := &Index{Cols: ix.Cols, slab: sl, hash: ix.hash, fast: ix.fast, mask: ix.mask}
-	old := ix.state.Load().shards
+	old := *ix.shards.Load()
 	shards := make([]shard, len(old))
 	for i := range old {
-		ns := compactShard(&old[i])
-		for k, id := range ns.rows {
-			ns.rows[k] = remap[id]
-		}
-		shards[i] = ns
+		shards[i] = compactShard(&old[i], remap)
 	}
-	nix.state.Store(&indexState{shards: shards})
+	nix.shards.Store(&shards)
 	return nix
 }
 
-// compactShard rewrites one shard's buckets into a dense row array.
-func compactShard(sh *shard) shard {
+// compactShard rewrites one shard densely: a copy of its table whose
+// buckets point into a fresh row array, laid out in slot order, with row
+// ids translated through remap when it is non-nil.
+func compactShard(sh *shard, remap []int32) shard {
 	live := 0
-	for _, sp := range sh.buckets {
-		live += int(sp.n)
+	for _, e := range sh.slots {
+		live += int(e.n)
 	}
-	for _, sps := range sh.overflow {
-		for _, sp := range sps {
-			live += int(sp.n)
+	ns := shard{slots: make([]tableEnt, len(sh.slots)), keys: sh.keys, rows: make([]int32, 0, live)}
+	for i, e := range sh.slots {
+		if e.n == 0 {
+			continue
 		}
-	}
-	rows := make([]int32, 0, live)
-	buckets := make(map[uint64]span, len(sh.buckets))
-	for fp, sp := range sh.buckets {
-		buckets[fp] = span{int32(len(rows)), sp.n}
-		rows = append(rows, sh.rows[sp.off:sp.off+sp.n]...)
-	}
-	var overflow map[uint64][]span
-	if len(sh.overflow) > 0 {
-		overflow = make(map[uint64][]span, len(sh.overflow))
-		for fp, sps := range sh.overflow {
-			nsps := make([]span, len(sps))
-			for i, sp := range sps {
-				nsps[i] = span{int32(len(rows)), sp.n}
-				rows = append(rows, sh.rows[sp.off:sp.off+sp.n]...)
+		bucket := sh.rows[e.off : e.off+e.n]
+		e.off = int32(len(ns.rows))
+		ns.slots[i] = e
+		for _, id := range bucket {
+			if remap != nil {
+				id = remap[id]
 			}
-			overflow[fp] = nsps
+			ns.rows = append(ns.rows, id)
 		}
 	}
-	return shard{buckets: buckets, rows: rows, overflow: overflow}
+	return ns
 }
 
 // --- KeyMap -----------------------------------------------------------

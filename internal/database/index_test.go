@@ -65,6 +65,66 @@ func TestForcedCollisions(t *testing.T) {
 			}
 		}
 	}
+
+	// Deleting inside a run of same-fingerprint slots. Two fingerprints
+	// whose home slots are the table's last two, so their runs interleave
+	// and wrap past the table's end; keys are removed one by one starting
+	// from the middle of the run, and after each removal every key must
+	// still probe exactly (backward-shift deletion leaves no hole) and
+	// Buckets() must count the remaining keys.
+	wrap := func(tu Tuple, cols []int) uint64 {
+		return (uint64(0xffffffff) - uint64(tu[cols[0]]&1)) << 32
+	}
+	r := NewRelation("R", 2)
+	for v := 0; v < 24; v++ {
+		for d := 0; d <= v%3; d++ {
+			r.InsertValues(Value(v), Value(d))
+		}
+	}
+	cols := []int{0}
+	ix := buildIndex(r.Tuples, cols, r.Slab(), 1, wrap)
+	sh := &(*ix.shards.Load())[0]
+	mask := uint32(len(sh.slots) - 1)
+	var run []Value // keys in slot order, from the first home slot on
+	for i := mask - 1; sh.slots[i].n != 0; i = (i + 1) & mask {
+		run = append(run, sh.slots[i].k0)
+	}
+	if len(run) != 24 {
+		t.Fatalf("run from the home slots holds %d keys, want all 24", len(run))
+	}
+	scan := map[Value][]int32{}
+	for i, tu := range r.Tuples {
+		scan[tu[0]] = append(scan[tu[0]], int32(i))
+	}
+	gone := map[Value]bool{}
+	for _, v := range append(run[len(run)/2:], run[:len(run)/2]...) {
+		for _, id := range append([]int32(nil), ix.Lookup(Tuple{v, 0}, cols)...) {
+			if !ix.RemoveRow(id) {
+				t.Fatalf("RemoveRow(%d) of key %d failed", id, v)
+			}
+		}
+		gone[v] = true
+		for k, ids := range scan {
+			got := ix.Lookup(Tuple{k, 0}, cols)
+			if gone[k] {
+				if got != nil {
+					t.Fatalf("after removing key %d: removed key %d still probes to %v", v, k, got)
+				}
+			} else if !sameIDs(sortedIDs(got), ids) {
+				t.Fatalf("after removing key %d: key %d probes to %v, scan %v", v, k, got, ids)
+			}
+		}
+		if want := len(scan) - len(gone); ix.Buckets() != want {
+			t.Fatalf("after removing key %d: Buckets() = %d, want %d", v, ix.Buckets(), want)
+		}
+	}
+}
+
+// sortedIDs returns a sorted copy of ids.
+func sortedIDs(ids []int32) []int32 {
+	out := append([]int32(nil), ids...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // TestForcedCollisionsKeyMap runs the same degradation against KeyMap's

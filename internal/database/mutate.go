@@ -92,7 +92,6 @@ func (r *Relation) mutateLocked(ins, del []Tuple, sorted bool) {
 // keep them intact; they are simply no longer handed out.
 func (r *Relation) dropDerivedLocked() {
 	r.indexes = nil
-	r.indexesBig = nil
 	r.projs = nil
 	r.projsBig = nil
 }

@@ -258,7 +258,8 @@ func TestIndexPatchEquivalence(t *testing.T) {
 
 // TestIndexPatchOverflow: patching stays exact across true fingerprint
 // collisions (forced by a degenerate hash): colliding keys live in
-// overflow spans, removals promote them, and lookups remain key-exact.
+// same-fingerprint table slots, removals free them, and lookups remain
+// key-exact.
 func TestIndexPatchOverflow(t *testing.T) {
 	r := NewRelation("R", 1)
 	for i := 0; i < 8; i++ {
@@ -291,8 +292,8 @@ func TestIndexPatchOverflow(t *testing.T) {
 		t.Fatalf("new colliding key 7: %d rows, want 1", n)
 	}
 
-	// Remove the bucket-resident key entirely; an overflow span must be
-	// promoted so the remaining keys stay reachable.
+	// Remove the first key entirely; its slot is freed and the remaining
+	// same-fingerprint slots must stay reachable.
 	for _, id := range append([]int32(nil), ix.Lookup(Tuple{0}, []int{0})...) {
 		if !ix.RemoveRow(id) {
 			t.Fatalf("RemoveRow(%d) failed", id)

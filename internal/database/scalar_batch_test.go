@@ -15,9 +15,9 @@ import (
 )
 
 // skewedRelation draws a relation whose key skew varies by seed: small
-// domains produce long equal-key runs (exercising the kernels' result
-// cache), large domains produce near-unique keys (exercising the flat
-// tables), and sizes cross the parallel-probe cutoff at 1024.
+// domains produce long equal-key runs (many probes of one bucket), large
+// domains produce near-unique keys (many distinct table slots), and sizes
+// cross the parallel-probe cutoff at 1024.
 func skewedRelation(rng *rand.Rand, name string, arity int) *database.Relation {
 	n := 1 + rng.Intn(2000)
 	dom := 1 + rng.Intn(3*n)
@@ -70,6 +70,11 @@ func TestDifferentialScalarBatchSemijoin(t *testing.T) {
 				t.Fatalf("seed %d par %d: batched ParSemijoin diverges from scalar", seed, par)
 			}
 		}
+		one := oneKeyRelation(t, rng, r, rCols, s, sCols)
+		want = database.SemijoinScalar(r, rCols, one, sCols)
+		if got := database.Semijoin(r, rCols, one, sCols); !tuplesEqualOrdered(got.Tuples, want.Tuples) {
+			t.Fatalf("seed %d: batched Semijoin on a one-key table %d tuples, scalar %d (or order drift)", seed, got.Len(), want.Len())
+		}
 	}
 }
 
@@ -88,6 +93,11 @@ func TestDifferentialScalarBatchJoin(t *testing.T) {
 		got := database.Join("J", r, rCols, s, sCols)
 		if !tuplesEqualOrdered(got.Tuples, want.Tuples) {
 			t.Fatalf("seed %d: batched Join %d tuples, scalar %d (or order drift)", seed, got.Len(), want.Len())
+		}
+		one := oneKeyRelation(t, rng, r, rCols, s, sCols)
+		want = database.JoinScalar("J", r, rCols, one, sCols)
+		if got := database.Join("J", r, rCols, one, sCols); !tuplesEqualOrdered(got.Tuples, want.Tuples) {
+			t.Fatalf("seed %d: batched Join on a one-key table %d tuples, scalar %d (or order drift)", seed, got.Len(), want.Len())
 		}
 	}
 }
@@ -110,4 +120,33 @@ func TestSetBatchKernelsToggle(t *testing.T) {
 	if !tuplesEqualOrdered(off.Tuples, on.Tuples) {
 		t.Fatalf("toggle changed the semijoin result: off %d tuples, on %d", off.Len(), on.Len())
 	}
+}
+
+// oneKeyRelation restricts s to the tuples sharing one sCols key, as the
+// linear-delay enumerator restricts relations per answer, so that the
+// batch kernels probe a one-key table. Half the time the key is taken
+// from r's rCols, so that some probes hit.
+func oneKeyRelation(t *testing.T, rng *rand.Rand, r *database.Relation, rCols []int, s *database.Relation, sCols []int) *database.Relation {
+	key := s.Tuples[rng.Intn(s.Len())].Clone()
+	if rng.Intn(2) == 0 {
+		u := r.Tuples[rng.Intn(r.Len())]
+		for i, c := range sCols {
+			key[c] = u[rCols[i]]
+		}
+	}
+	one := s.Select("S1", func(u database.Tuple) bool {
+		for _, c := range sCols {
+			if u[c] != key[c] {
+				return false
+			}
+		}
+		return true
+	})
+	if one.Len() == 0 {
+		one.Insert(key)
+	}
+	if b := one.IndexOn(sCols).Buckets(); b != 1 {
+		t.Fatalf("one-key relation has %d keys", b)
+	}
+	return one
 }

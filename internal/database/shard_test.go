@@ -77,7 +77,7 @@ func TestShardMatchesIndexShards(t *testing.T) {
 	if len(parts) != k {
 		t.Fatalf("ShardRowIDs returned %d parts for mask %d", len(parts), ix.mask)
 	}
-	shards := ix.state.Load().shards
+	shards := *ix.shards.Load()
 	for si := range shards {
 		got := append([]int32(nil), shards[si].rows...)
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })

@@ -122,11 +122,10 @@ func DictionaryFromNames(names []string) (*Dictionary, error) {
 // --- CSR index dump/restore -------------------------------------------
 
 // IndexCSR is the serializable layout of a single-shard hash index: the
-// bucket row array plus one (fingerprint, span) triple per bucket, sorted
-// by fingerprint. A fingerprint that holds several distinct true keys (a
-// real 64-bit collision, or a degraded test hash) appears once per key —
-// the first occurrence restores as the primary bucket, the rest as its
-// overflow chain, preserving probe order.
+// bucket row array plus one (fingerprint, span) triple per key, sorted by
+// fingerprint and then by span offset. A fingerprint that holds several
+// distinct true keys (a real 64-bit collision, or a degraded test hash)
+// appears once per key; each restores as its own table slot.
 type IndexCSR struct {
 	Cols []int
 	Rows []int32
@@ -145,27 +144,33 @@ func (r *Relation) DumpIndex(cols []int) IndexCSR {
 	sl := r.slabLocked()
 	tuples := r.Tuples
 	r.mu.Unlock()
-	ix := buildIndex(tuples, cols, sl, 1, nil)
-	sh := &ix.state.Load().shards[0]
+	return buildIndex(tuples, cols, sl, 1, nil).csr()
+}
+
+// csr returns the CSR layout of a single-shard index: its row array and
+// one triple per occupied table slot, sorted by (fingerprint, offset).
+func (ix *Index) csr() IndexCSR {
+	sh := &(*ix.shards.Load())[0]
+	ents := make([]tableEnt, 0, sh.keys)
+	for _, e := range sh.slots {
+		if e.n != 0 {
+			ents = append(ents, e)
+		}
+	}
+	sort.Slice(ents, func(i, j int) bool {
+		if ents[i].fp != ents[j].fp {
+			return ents[i].fp < ents[j].fp
+		}
+		return ents[i].off < ents[j].off
+	})
 	c := IndexCSR{
-		Cols: append([]int(nil), cols...),
+		Cols: append([]int(nil), ix.Cols...),
 		Rows: append([]int32(nil), sh.rows...),
 	}
-	fps := make([]uint64, 0, len(sh.buckets))
-	for fp := range sh.buckets {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-	for _, fp := range fps {
-		sp := sh.buckets[fp]
-		c.FPs = append(c.FPs, fp)
-		c.Offs = append(c.Offs, sp.off)
-		c.Lens = append(c.Lens, sp.n)
-		for _, osp := range sh.overflow[fp] {
-			c.FPs = append(c.FPs, fp)
-			c.Offs = append(c.Offs, osp.off)
-			c.Lens = append(c.Lens, osp.n)
-		}
+	for _, e := range ents {
+		c.FPs = append(c.FPs, e.fp)
+		c.Offs = append(c.Offs, e.off)
+		c.Lens = append(c.Lens, e.n)
 	}
 	return c
 }
@@ -183,56 +188,49 @@ func (r *Relation) RestoreIndex(c IndexCSR) error {
 			return fmt.Errorf("database: restore index on %s: column %d out of arity %d", r.Name, col, r.Arity)
 		}
 	}
-	if len(c.FPs) != len(c.Offs) || len(c.FPs) != len(c.Lens) {
-		return fmt.Errorf("database: restore index on %s: bucket arrays disagree: %d/%d/%d",
-			r.Name, len(c.FPs), len(c.Offs), len(c.Lens))
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := int32(len(r.Tuples))
-	for _, id := range c.Rows {
-		if id < 0 || id >= n {
-			return fmt.Errorf("database: restore index on %s: row id %d out of %d rows", r.Name, id, n)
-		}
+	ix, err := indexFromCSR(c, r.slabLocked(), len(r.Tuples), nil)
+	if err != nil {
+		return fmt.Errorf("database: restore index on %s: %v", r.Name, err)
 	}
-	sh := shard{buckets: make(map[uint64]span, len(c.FPs)), rows: append([]int32(nil), c.Rows...)}
-	total := int32(0)
-	for i, fp := range c.FPs {
-		sp := span{c.Offs[i], c.Lens[i]}
-		if sp.n < 1 || sp.off < 0 || int(sp.off)+int(sp.n) > len(c.Rows) {
-			return fmt.Errorf("database: restore index on %s: span [%d,+%d) outside %d rows",
-				r.Name, sp.off, sp.n, len(c.Rows))
-		}
-		total += sp.n
-		if _, ok := sh.buckets[fp]; !ok {
-			sh.buckets[fp] = sp
-			continue
-		}
-		if sh.overflow == nil {
-			sh.overflow = make(map[uint64][]span)
-		}
-		sh.overflow[fp] = append(sh.overflow[fp], sp)
-	}
-	if int(total) != len(c.Rows) {
-		return fmt.Errorf("database: restore index on %s: spans cover %d of %d rows", r.Name, total, len(c.Rows))
-	}
-	ix := &Index{
-		Cols: append([]int(nil), c.Cols...),
-		slab: r.slabLocked(),
-		hash: defaultKeyHash,
-		fast: true,
-	}
-	ix.state.Store(&indexState{shards: []shard{sh}})
-	if sig, packed := colsSig(c.Cols); packed {
-		if r.indexes == nil {
-			r.indexes = make(map[uint64]*Index)
-		}
-		r.indexes[sig] = ix
-	} else {
-		if r.indexesBig == nil {
-			r.indexesBig = make(map[string]*Index)
-		}
-		r.indexesBig[colsSigBig(c.Cols)] = ix
-	}
+	r.setIndexLocked(ix)
 	return nil
+}
+
+// indexFromCSR builds a single-shard index over sl (n rows) from a CSR
+// layout, validating every row id and span against them. hash must be the
+// fingerprint the layout was built with; nil selects the default, as in
+// buildIndex.
+func indexFromCSR(c IndexCSR, sl Slab, n int, hash keyHashFunc) (*Index, error) {
+	if len(c.FPs) != len(c.Offs) || len(c.FPs) != len(c.Lens) {
+		return nil, fmt.Errorf("bucket arrays disagree: %d/%d/%d", len(c.FPs), len(c.Offs), len(c.Lens))
+	}
+	for _, id := range c.Rows {
+		if id < 0 || int(id) >= n {
+			return nil, fmt.Errorf("row id %d out of %d rows", id, n)
+		}
+	}
+	ix := &Index{Cols: append([]int(nil), c.Cols...), slab: sl, hash: hash, fast: hash == nil}
+	if ix.fast {
+		ix.hash = defaultKeyHash
+	}
+	sh := shard{rows: append([]int32(nil), c.Rows...)}
+	if len(c.FPs) > 0 {
+		sh.slots = make([]tableEnt, tableSize(len(c.FPs)))
+	}
+	total := 0
+	for i, fp := range c.FPs {
+		off, cnt := c.Offs[i], c.Lens[i]
+		if cnt < 1 || off < 0 || int(off)+int(cnt) > len(sh.rows) {
+			return nil, fmt.Errorf("span [%d,+%d) outside %d rows", off, cnt, len(sh.rows))
+		}
+		total += int(cnt)
+		ix.insert(&sh, fp, sl.Row(sh.rows[off]), off, cnt)
+	}
+	if total != len(sh.rows) {
+		return nil, fmt.Errorf("spans cover %d of %d rows", total, len(sh.rows))
+	}
+	ix.shards.Store(&[]shard{sh})
+	return ix, nil
 }
